@@ -1,7 +1,10 @@
 """Command line interface.
 
 One subcommand per operation; ``--output json`` switches every command
-from human-readable lines to JSON with floats printed at 17 significant
+from human-readable lines to JSON; ``parse`` and ``permute`` always
+write state JSON.  JSON floats are Python's shortest round-trip
+``repr``, so every value (``1.0`` and ``-0.0`` included) reads back as
+the identical double; text output prints floats at 17 significant
 digits.  Exit codes: 0 success (verdicts and failed verifications are
 data, not errors), 1 usage, 2 input that does not parse, 3 validation
 or numeric-domain failure, 4 size cap exceeded.  The default tolerance
@@ -12,6 +15,7 @@ is 1e-10, overridable by the QHYPER_TOL environment variable and the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,45 +50,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dumps(obj, indent=0) -> str:
-    """JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{json.dumps(k)}: {_dumps(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    return json.dumps(obj)
-
-
 def _emit(cfg, payload, lines, out_path=None):
-    text = _dumps(payload) if cfg.output == "json" else "\n".join(lines)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write ``payload`` as JSON (always, when ``lines`` is None) or the
+    text ``lines`` to ``out_path``, or to stdout when it is not given."""
+    with (open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
+        if lines is None or cfg.output == "json":
+            # Streamed: json.dumps would first hold every chunk in memory.
+            json.dump(payload, fh, indent=2)
+        else:
+            fh.write("\n".join(lines))
+        fh.write("\n")
 
 
-def _load_state(path: str) -> states.QubitState:
+def _load_state(path: str, *, renormalize=False, check_norm=True) -> states.QubitState:
+    """Read ket text, or state JSON when the file starts with '{'.
+
+    ``renormalize`` rescales any nonzero state to unit norm and
+    ``check_norm=False`` skips the norm check, for either format.
+    """
     with open(path) as fh:
         raw = fh.read()
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        return states.state_from_json(json.loads(raw))
-    return states.parse_ket(raw)
+    if not raw.lstrip().startswith("{"):
+        return states.parse_ket(raw, renormalize=renormalize, check_norm=check_norm)
+    state = states.state_from_json(json.loads(raw), check_norm=check_norm and not renormalize)
+    if renormalize:
+        norm = np.linalg.norm(state.amplitudes)
+        if norm == 0.0:
+            raise ValidationError("cannot renormalize the zero vector")
+        state = states.QubitState(state.amplitudes / norm)
+    return state
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a ket expression or state JSON file")
     p.add_argument("--in", dest="infile", required=True, help="input file")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--renormalize", action="store_true", help="rescale to unit norm")
-    p.add_argument(
+    norm = p.add_mutually_exclusive_group()
+    norm.add_argument("--renormalize", action="store_true", help="rescale to unit norm")
+    norm.add_argument(
         "--no-normalize",
         action="store_true",
         help="skip normalization check entirely (diagnostics)",
@@ -179,39 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args) -> RunConfig:
     tol = args.tol
     if tol is None:
-        tol = float(os.environ.get("QHYPER_TOL", DEFAULT_TOL))
+        raw = os.environ.get("QHYPER_TOL", DEFAULT_TOL)
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValidationError(f"QHYPER_TOL must be a number, got {raw!r}") from None
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     return RunConfig(tolerance=tol, seed=args.seed, output=args.output)
 
 
 def _cmd_parse(args, cfg):
-    with open(args.infile) as fh:
-        raw = fh.read()
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        state = states.state_from_json(
-            json.loads(raw), check_norm=not (args.renormalize or args.no_normalize)
-        )
-        if args.renormalize:
-            amp = state.amplitudes
-            norm = np.linalg.norm(amp)
-            if norm == 0.0:
-                raise ValidationError("cannot renormalize the zero vector")
-            state = states.QubitState(amp / norm)
-    else:
-        state = states.parse_ket(
-            raw,
-            renormalize=args.renormalize,
-            check_norm=not args.no_normalize,
-        )
-    payload = states.state_to_json(state)
-    text = _dumps(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    state = _load_state(
+        args.infile, renormalize=args.renormalize, check_norm=not args.no_normalize
+    )
+    _emit(cfg, states.state_to_json(state), None, args.out)
     return EXIT_OK
 
 
@@ -284,13 +261,7 @@ def _cmd_permute(args, cfg):
         raise ValidationError(f"--perm must be a comma list of integers, got {args.perm!r}")
     H = states.state_to_hypermatrix(state)
     out = states.hypermatrix_to_state(tensor.mode_permute(H, mapping))
-    payload = states.state_to_json(out)
-    text = _dumps(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(cfg, states.state_to_json(out), None, args.out)
     return EXIT_OK
 
 
@@ -415,7 +386,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KetSyntaxError, json.JSONDecodeError) as exc:
+    except (KetSyntaxError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeCapError as exc:

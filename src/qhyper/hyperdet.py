@@ -313,6 +313,34 @@ def _cuboid_side(H, cap_side=3):
     return m
 
 
+def _perm_sum(H, pinned, term_cap):
+    """Sum over tuples (s_1, ..., s_N) in S_m^N of the signed products
+    sgn(s_1) ... sgn(s_N) * prod_j H_{s_1(j) ... s_N(j)}, with s_1 fixed
+    to the identity when ``pinned``.  No 1/m! prefactor."""
+    m = _cuboid_side(H)
+    N = H.order
+    words = _perm_words(m)
+    free = N - 1 if pinned else N
+    if len(words) ** free > term_cap:
+        raise SizeCapError(
+            f"(m!)^{'(N-1)' if pinned else 'N'} = {len(words) ** free} "
+            f"exceeds the term cap {term_cap}"
+        )
+    # itertools.permutations yields the identity first.
+    first = words[:1] if pinned else words
+    data = H.data
+    total = 0.0 + 0.0j
+    for combo in itertools.product(first, *[words] * (N - 1)):
+        sign = 1
+        for w in combo:
+            sign *= w.parity
+        prod = 1.0 + 0.0j
+        for j in range(m):
+            prod *= data[tuple(w.images[j] for w in combo)]
+        total += sign * prod
+    return total
+
+
 def hdet_general(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
     """Combinatorial hyperdeterminant by full S_m^N enumeration.
 
@@ -321,24 +349,8 @@ def hdet_general(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
     total sign).  The enumeration size (m!)^N must stay within
     ``term_cap``.
     """
-    m = _cuboid_side(H)
-    N = H.order
-    words = _perm_words(m)
-    if len(words) ** N > term_cap:
-        raise SizeCapError(
-            f"(m!)^N = {len(words) ** N} exceeds the term cap {term_cap}"
-        )
-    data = H.data
-    total = 0.0 + 0.0j
-    for combo in itertools.product(words, repeat=N):
-        sign = 1
-        for w in combo:
-            sign *= w.parity
-        prod = 1.0 + 0.0j
-        for j in range(m):
-            prod *= data[tuple(w.images[j] for w in combo)]
-        total += sign * prod
-    return complex(total / math.factorial(m))
+    total = _perm_sum(H, False, term_cap)
+    return complex(total / math.factorial(H.dims[0]))
 
 
 def hdet_reduced(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
@@ -349,24 +361,7 @@ def hdet_reduced(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
     """
     if H.order % 2:
         raise ValidationError(f"defined for even order only, got order {H.order}")
-    m = _cuboid_side(H)
-    N = H.order
-    words = _perm_words(m)
-    if len(words) ** (N - 1) > term_cap:
-        raise SizeCapError(
-            f"(m!)^(N-1) = {len(words) ** (N - 1)} exceeds the term cap {term_cap}"
-        )
-    data = H.data
-    total = 0.0 + 0.0j
-    for combo in itertools.product(words, repeat=N - 1):
-        sign = 1
-        for w in combo:
-            sign *= w.parity
-        prod = 1.0 + 0.0j
-        for j in range(m):
-            prod *= data[(j,) + tuple(w.images[j] for w in combo)]
-        total += sign * prod
-    return complex(total)
+    return complex(_perm_sum(H, True, term_cap))
 
 
 def hdet_fast(state) -> complex:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import KetSyntaxError, ValidationError
 from .hyperdet import hdet_fast, sign_string_sigma
-from .tensor import Hypermatrix
+from .tensor import Hypermatrix, _complex_from_json, _complex_to_json, _json_int
 
 __all__ = [
     "NORM_TOL",
@@ -255,26 +255,15 @@ def hypermatrix_to_state(H: Hypermatrix) -> QubitState:
 
 def state_to_json(state: QubitState) -> dict:
     """JSON form: ``{"num_qubits": n, "amplitudes": [{"re", "im"}, ...]}``."""
-    return {
-        "num_qubits": state.num_qubits,
-        "amplitudes": [
-            {"re": float(z.real), "im": float(z.imag)} for z in state.amplitudes
-        ],
-    }
+    return {"num_qubits": state.num_qubits, "amplitudes": _complex_to_json(state.amplitudes)}
 
 
 def state_from_json(obj, *, check_norm: bool = True) -> QubitState:
-    if not isinstance(obj, dict) or "num_qubits" not in obj or "amplitudes" not in obj:
+    if not isinstance(obj, dict):
         raise ValidationError("state JSON needs 'num_qubits' and 'amplitudes'")
-    n = int(obj["num_qubits"])
-    amps = obj["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 2**n:
-        raise ValidationError(f"expected {2**n} amplitudes for {n} qubits")
-    for e in amps:
-        if not isinstance(e, dict) or "re" not in e or "im" not in e:
-            raise ValidationError("each amplitude needs 're' and 'im'")
-    vec = np.array([complex(e["re"], e["im"]) for e in amps], dtype=np.complex128)
-    return QubitState(vec, check_norm=check_norm)
+    n = _json_int(obj.get("num_qubits"), "num_qubits")
+    amps = _complex_from_json(obj.get("amplitudes"), 2**n, "amplitudes")
+    return QubitState(amps, check_norm=check_norm)
 
 
 def validate_unitary(U, *, require_su2: bool = False, tol: float = 1e-10) -> np.ndarray:

@@ -317,53 +317,71 @@ def tensor_to_json(H: Hypermatrix) -> dict:
 
     Entries are listed in row-major order.
     """
-    flat = H.ravel()
-    return {
-        "dims": list(H.dims),
-        "entries": [{"re": float(z.real), "im": float(z.imag)} for z in flat],
-    }
+    return {"dims": list(H.dims), "entries": _complex_to_json(H.data)}
 
 
 def tensor_from_json(obj) -> Hypermatrix:
-    dims, entries = _json_fields(obj, "dims")
-    arr = np.array([complex(e["re"], e["im"]) for e in entries], dtype=np.complex128)
-    expected = math.prod(dims)
-    if arr.size != expected:
-        raise ValidationError(f"dims {dims} need {expected} entries, got {arr.size}")
-    return Hypermatrix(arr.reshape(dims))
+    dims = obj.get("dims") if isinstance(obj, dict) else None
+    if not isinstance(dims, list):
+        raise ValidationError("tensor JSON needs a 'dims' list and 'entries'")
+    dims = [_json_int(d, "dims") for d in dims]
+    entries = _complex_from_json(obj.get("entries"), math.prod(dims))
+    return Hypermatrix(entries.reshape(dims))
 
 
 def matrix_to_json(M) -> dict:
     """JSON form: ``{"rows": r, "cols": c, "entries": [...]}`` row-major."""
     arr = _as_matrix(M, "matrix")
-    return {
-        "rows": arr.shape[0],
-        "cols": arr.shape[1],
-        "entries": [
-            {"re": float(z.real), "im": float(z.imag)} for z in arr.reshape(-1)
-        ],
-    }
+    return {"rows": arr.shape[0], "cols": arr.shape[1], "entries": _complex_to_json(arr)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
+    if not isinstance(obj, dict):
         raise ValidationError("matrix JSON needs 'rows', 'cols' and 'entries'")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj.get("entries")
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ValidationError(f"matrix JSON needs {rows * cols} entries")
-    arr = np.array([complex(e["re"], e["im"]) for e in entries], dtype=np.complex128)
-    return arr.reshape(rows, cols)
+    rows, cols = _json_int(obj.get("rows"), "rows"), _json_int(obj.get("cols"), "cols")
+    return _complex_from_json(obj.get("entries"), rows * cols).reshape(rows, cols)
 
 
-def _json_fields(obj, dims_key):
-    if not isinstance(obj, dict) or dims_key not in obj or "entries" not in obj:
-        raise ValidationError(f"tensor JSON needs '{dims_key}' and 'entries'")
-    dims = [int(d) for d in obj[dims_key]]
-    entries = obj["entries"]
-    if not isinstance(entries, list):
-        raise ValidationError("'entries' must be a list")
-    for e in entries:
-        if not isinstance(e, dict) or "re" not in e or "im" not in e:
-            raise ValidationError("each entry needs 're' and 'im'")
-    return dims, entries
+def _json_int(value, what) -> int:
+    """A non-negative integer header field (dims, rows, num_qubits)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
+    return n
+
+
+def _complex_to_json(arr) -> list:
+    """``[{"re": .., "im": ..}, ...]`` for the entries of ``arr`` in row-major order."""
+    arr = np.ravel(arr)
+    return [{"re": r, "im": i} for r, i in zip(arr.real.tolist(), arr.imag.tolist())]
+
+
+def _complex_from_json(entries, count, what="entries") -> np.ndarray:
+    """Inverse of :func:`_complex_to_json`: ``count`` entries as a complex128 vector.
+
+    Each entry must be an object whose ``re`` and ``im`` are finite JSON
+    numbers (bools, strings, nulls and nested values are rejected).  The
+    parts are stored as given, so the result is bit-exact, signed zeros
+    included.
+    """
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ValidationError(f"expected a list of {count} {what}")
+    try:
+        re = [e["re"] for e in entries]
+        im = [e["im"] for e in entries]
+    except (TypeError, KeyError):
+        raise ValidationError(f"each of the {what} needs 're' and 'im'") from None
+    if not set(map(type, re)).union(map(type, im)) <= {float, int}:
+        raise ValidationError(f"'re' and 'im' of the {what} must be numbers")
+    out = np.empty(count, dtype=np.complex128)
+    try:
+        out.real = re
+        out.imag = im
+    except OverflowError:
+        raise ValidationError(f"{what} out of floating-point range") from None
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{what} must be finite")
+    return out

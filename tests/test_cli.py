@@ -97,6 +97,44 @@ def test_parse_zero_json_renormalize_rejected(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+def test_parse_renormalize_and_no_normalize_exclusive(tmp_path, capsys):
+    path = put(tmp_path, "s.ket", "0.6|0>")
+    assert main(["parse", "--in", path, "--renormalize", "--no-normalize"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_parse_json_keeps_signed_zero_and_float(tmp_path, capsys):
+    raw = json.dumps(
+        {"num_qubits": 1, "amplitudes": [{"re": -0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}
+    )
+    code, payload = run_json(capsys, ["parse", "--in", put(tmp_path, "s.json", raw)])
+    assert code == 0
+    zero, one = payload["amplitudes"][0]["re"], payload["amplitudes"][1]["re"]
+    assert type(zero) is float and math.copysign(1.0, zero) == -1.0
+    assert type(one) is float and one == 1.0
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"num_qubits": 1, "amplitudes": [{"re": "x", "im": 0}, {"re": 0, "im": 0}]},
+        {"num_qubits": 1, "amplitudes": [{"re": 1, "im": None}, {"re": 0, "im": 0}]},
+        {"num_qubits": "two", "amplitudes": []},
+    ],
+)
+def test_malformed_state_json_exit_code(tmp_path, capsys, obj):
+    path = put(tmp_path, "s.json", json.dumps(obj))
+    assert main(["svals", "--state", path]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_binary_state_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b"\xff\xfe{\x00")
+    assert main(["parse", "--in", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_parse_syntax_error_exit_code(tmp_path, capsys):
     assert main(["parse", "--in", put(tmp_path, "bad.ket", "0.5|2>")]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -343,6 +381,12 @@ def test_usage_errors(capsys):
     assert main(["hdet"]) == 1  # missing --state
     assert main(["hdet", "--state", "x", "--method", "magic"]) == 1
     capsys.readouterr()
+
+
+def test_malformed_env_tolerance_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("QHYPER_TOL", "abc")
+    assert main(["signs", "--what", "ent", "--n", "1"]) == 3
+    assert "QHYPER_TOL" in capsys.readouterr().err
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ket parsing, the state/hypermatrix isomorphism, spin flip, n-tangle."""
 
+import json
 import math
 
 import numpy as np
@@ -307,9 +308,11 @@ def test_random_su2_properties():
 
 def test_state_json_roundtrip_exact():
     rng = np.random.default_rng(49)
-    s = random_state(3, rng)
-    back = state_from_json(state_to_json(s))
-    np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
+    signed_zero = QubitState([complex(-0.0, 1.0), complex(0.0, -0.0)])
+    for s in (random_state(3, rng), signed_zero):
+        back = state_from_json(json.loads(json.dumps(state_to_json(s))))
+        # byte comparison: assert_array_equal treats -0.0 and 0.0 as equal
+        assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
 
 
 def test_state_json_validation():
@@ -321,3 +324,18 @@ def test_state_json_validation():
         state_from_json(
             {"num_qubits": 1, "amplitudes": [{"re": 1.0}, {"re": 0.0}]}
         )
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, [1.0], {"x": 1.0}])
+def test_state_json_rejects_non_numeric_parts(bad):
+    amps = [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]
+    for part in ("re", "im"):
+        obj = {"num_qubits": 1, "amplitudes": [dict(amps[0], **{part: bad}), amps[1]]}
+        with pytest.raises(ValidationError):
+            state_from_json(obj)
+
+
+@pytest.mark.parametrize("n", ["two", None, -1, [1]])
+def test_state_json_rejects_bad_num_qubits(n):
+    with pytest.raises(ValidationError):
+        state_from_json({"num_qubits": n, "amplitudes": []})

@@ -1,5 +1,7 @@
 """Hypermatrix construction and the multilinear operations."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -339,9 +341,11 @@ def test_allclose_tolerance():
 
 def test_tensor_json_roundtrip_exact():
     rng = np.random.default_rng(22)
-    H = random_hyper(rng, (2, 3, 2))
-    back = tensor_from_json(tensor_to_json(H))
-    np.testing.assert_array_equal(back.data, H.data)
+    signed_zero = Hypermatrix([[complex(-0.0, 1.0), complex(0.0, -0.0)]])
+    for H in (random_hyper(rng, (2, 3, 2)), signed_zero):
+        back = tensor_from_json(json.loads(json.dumps(tensor_to_json(H))))
+        # byte comparison: assert_array_equal treats -0.0 and 0.0 as equal
+        assert back.dims == H.dims and back.data.tobytes() == H.data.tobytes()
 
 
 def test_tensor_json_validation():
@@ -364,3 +368,13 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_validation():
     with pytest.raises(ValidationError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": []})
+
+
+def test_matrix_json_rejects_malformed_entries():
+    one = {"re": 1.0, "im": 0.0}
+    with pytest.raises(ValidationError):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [one, 1.0]})
+    with pytest.raises(ValidationError):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [one, {"re": 1.0}]})
+    with pytest.raises(ValidationError):
+        matrix_from_json({"rows": "x", "cols": 2, "entries": [one, one]})
