@@ -24,6 +24,7 @@ are reported as inconclusive rather than guessed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -145,8 +146,6 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
 
 def hosvd(H: Hypermatrix) -> HosvdResult:
     """Higher-order SVD of a hypermatrix with every mode of length 2."""
-    for k in range(1, H.order + 1):
-        _require_qubit_mode(H, k)
     pairs = [mode_factor(H, k) for k in range(1, H.order + 1)]
     factors = tuple(V for V, _ in pairs)
     svals = tuple(sv for _, sv in pairs)
@@ -169,12 +168,20 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     phase per column, which multiplies core entries by phases of the form
     g * prod_{k in F} rho_k, where F is the set of modes in which an
     entry's index differs from a reference entry.  This routine chooses
-    those phases deterministically from the core itself:
+    those phases deterministically from the core itself.  Every mode
+    must have length 2 (as for :func:`hosvd`), so F is the set of bits
+    in which two row-major indices differ.
 
-    * the largest-magnitude entry (ties: smallest row-major index) is
-      made real positive and serves as the reference;
-    * remaining entries with magnitude above ``negligible`` are visited
-      in descending magnitude (ties: ascending index); each visit pins
+    Entries with magnitude above ``negligible`` are sorted by
+    descending magnitude and cut into tie groups: a new group starts
+    wherever the next magnitude is smaller by more than ``negligible``.
+    Within a group the smaller row-major index comes first, so cores
+    that are equal in exact arithmetic are visited in the same order
+    whatever their roundoff.  Then:
+
+    * the first entry (the smallest index of the top group) is made
+      real positive and serves as the reference;
+    * the remaining entries are visited in that order; each visit pins
       the phase of one still-free mode so the visited entry becomes
       real positive, zeroing the extra phases first when an entry
       involves more than one free mode;
@@ -183,8 +190,8 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     The factors are rescaled by the conjugate phases so that
     ``reconstruct()`` is unchanged.  Because the visiting order depends
     only on entry magnitudes, two cores that differ by such phases
-    canonicalize to the same entries whenever the pinning order is
-    determined by entries well above ``negligible``.
+    canonicalize to the same entries whenever the tie groups are
+    separated by gaps well above ``negligible``.
 
     Returns a new :class:`HosvdResult`.
     """
@@ -195,48 +202,49 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     top = float(mags.max())
     if top <= 0.0:
         return result
-    anchor = int(np.argmax(mags))
-    anchor_bits = np.unravel_index(anchor, core.shape)
+    # The largest entry always counts, so there is an anchor even when
+    # every entry is negligible.
+    keep = mags > negligible
+    keep[np.argmax(mags)] = True
+    support = np.flatnonzero(keep)
+    support = support[np.argsort(-mags[support])]
+    # A new tie group starts wherever the magnitude drops by more than
+    # ``negligible``; within a group the smaller index comes first.
+    group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
+    support = support[np.lexsort((support, group))]
+    anchor = int(support[0])
+    support = support[1:]
     g = -cmath.phase(flat[anchor])
 
-    support = [i for i in range(flat.size) if mags[i] > negligible and i != anchor]
-    support.sort(key=lambda i: (-mags[i], i))
-    flip_sets = {
-        i: [k for k, (ib, ab) in enumerate(zip(np.unravel_index(i, core.shape), anchor_bits)) if ib != ab]
-        for i in support
-    }
-
-    rho = [None] * n
-    pending = list(support)
-    while pending:
-        chosen = None
-        for i in pending:
-            free = [k for k in flip_sets[i] if rho[k] is None]
-            if len(free) <= 1:
-                chosen = (i, free)
-                break
-        if chosen is None:
-            # Largest remaining entry touches several free modes: keep
-            # only its smallest free mode adjustable, zero the others.
-            free = [k for k in flip_sets[pending[0]] if rho[k] is None]
-            for k in free[1:]:
-                rho[k] = 0.0
-            continue
-        i, free = chosen
-        pending.remove(i)
-        if not free:
-            continue  # phase already determined by earlier pins
-        k = free[0]
-        theta = cmath.phase(flat[i]) + g
-        theta += sum(rho[m] for m in flip_sets[i] if m != k)
-        rho[k] = -theta
-    rho = [0.0 if r is None else r for r in rho]
+    # Mode k is bit n-1-k of a row-major index, so the modes in which
+    # entry i differs from the anchor are the set bits of i ^ anchor.
+    flips = support ^ anchor
+    rho = [0.0] * n
+    free = (1 << n) - 1  # bits of the modes not yet pinned
+    for _ in range(n):  # every round pins at least one mode
+        counts = np.bitwise_count(flips & free)
+        single = np.flatnonzero(counts == 1)
+        if single.size:
+            j = int(single[0])
+            flip = int(flips[j])
+            k = n - (flip & free).bit_length()
+            theta = cmath.phase(flat[support[j]]) + g
+            theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
+            rho[k] = -theta
+            free &= ~flip
+        elif counts.any():
+            # The largest remaining entry touches several free modes:
+            # keep only its smallest free mode adjustable, zero the others.
+            mask = int(flips[np.argmax(counts > 0)]) & free
+            free &= ~mask | 1 << (mask.bit_length() - 1)
+        else:
+            break
 
     canon = core
     new_factors = []
     for k in range(n):
         pk = np.ones(2, dtype=np.complex128)
-        pk[1 - anchor_bits[k]] = cmath.exp(1j * rho[k])
+        pk[1 - (anchor >> (n - 1 - k) & 1)] = cmath.exp(1j * rho[k])
         if k == 0:
             pk = pk * cmath.exp(1j * g)
         shape = [1] * n
@@ -279,34 +287,21 @@ def _alignment_candidates(fa, fb, tol, cap):
     mapping order and at most ``cap`` of them are collected.
     """
     N = len(fa)
-    options = []
-    for k in range(N):
-        opts = [j for j in range(N) if float(np.max(np.abs(fa[j] - fb[k]))) <= tol]
-        if not opts:
-            return [], False
-        options.append(opts)
-    found = []
-    capped = False
-    used = [False] * N
+    options = [
+        [j for j in range(N) if float(np.max(np.abs(fa[j] - fb[k]))) <= tol]
+        for k in range(N)
+    ]
 
-    def search(k, prefix):
-        nonlocal capped
-        if len(found) > cap:
-            capped = True
+    def extend(prefix):
+        if len(prefix) == N:
+            yield ModePermutation(tuple(j + 1 for j in prefix))
             return
-        if k == N:
-            found.append(tuple(j + 1 for j in prefix))
-            return
-        for j in options[k]:
-            if not used[j] and not capped:
-                used[j] = True
-                search(k + 1, prefix + [j])
-                used[j] = False
+        for j in options[len(prefix)]:
+            if j not in prefix:
+                yield from extend(prefix + (j,))
 
-    search(0, [])
-    if capped:
-        found = found[:cap]
-    return [ModePermutation(m) for m in found], capped
+    found = list(itertools.islice(extend(()), cap + 1))
+    return found[:cap], len(found) > cap
 
 
 def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> LuVerdict:

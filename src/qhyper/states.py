@@ -26,11 +26,12 @@ import re
 
 import numpy as np
 
-from .errors import KetSyntaxError, ValidationError
-from .hyperdet import hdet_fast, sign_string_sigma
+from .errors import KetSyntaxError, SizeCapError, ValidationError
+from .hyperdet import MAX_SIGN_N, hdet_fast, sign_string_sigma
 from .tensor import Hypermatrix, _complex_from_json, _complex_to_json, _json_int
 
 __all__ = [
+    "MAX_QUBITS",
     "NORM_TOL",
     "PARSE_NORM_SLACK",
     "QubitState",
@@ -50,6 +51,13 @@ __all__ = [
 
 NORM_TOL = 1e-10  # |sum of squared magnitudes - 1| allowed on a valid state
 PARSE_NORM_SLACK = 1e-6  # coefficient sloppiness the parser will clean up
+MAX_QUBITS = 2 * MAX_SIGN_N  # widest state hdet_fast and n_tangle accept
+
+
+def _check_qubit_cap(n):
+    """Raise SizeCapError before a 2^n amplitude vector is allocated."""
+    if n > MAX_QUBITS:
+        raise SizeCapError(f"states are capped at {MAX_QUBITS} qubits, got {n}")
 
 
 class QubitState:
@@ -165,6 +173,8 @@ def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) 
     ------
     KetSyntaxError
         On malformed text, with the offending position.
+    SizeCapError
+        When the kets have more than ``MAX_QUBITS`` bits.
     ValidationError
         On a zero vector, or a norm outside the slack without
         ``renormalize``.
@@ -189,6 +199,7 @@ def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) 
         bits = m.group(1)
         if width is None:
             width = len(bits)
+            _check_qubit_cap(width)
         elif len(bits) != width:
             raise KetSyntaxError(
                 f"ket has {len(bits)} bits, earlier kets have {width}", pos
@@ -262,6 +273,7 @@ def state_from_json(obj, *, check_norm: bool = True) -> QubitState:
     if not isinstance(obj, dict):
         raise ValidationError("state JSON needs 'num_qubits' and 'amplitudes'")
     n = _json_int(obj.get("num_qubits"), "num_qubits")
+    _check_qubit_cap(n)
     amps = _complex_from_json(obj.get("amplitudes"), 2**n, "amplitudes")
     return QubitState(amps, check_norm=check_norm)
 

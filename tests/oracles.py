@@ -7,6 +7,7 @@ inversions instead of cycles, unfoldings use the explicit column-index
 formula, the spin flip builds the actual complex Kronecker power.
 """
 
+import cmath
 import itertools
 import math
 
@@ -133,3 +134,59 @@ def random_sl2(rng):
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         if abs(det) > 0.3:
             return A / np.sqrt(det)
+
+
+def canonical_core_walk(core, negligible):
+    """Phase-canonical qubit HOSVD core by a per-entry walk.
+
+    The largest entry and every entry above ``negligible`` are sorted by
+    descending magnitude into tie groups (a new group wherever the
+    magnitude drops by more than ``negligible``), smaller row-major index
+    first within a group.  The first entry is made real positive.  Each
+    later entry whose index differs from the first in at most one
+    unpinned mode pins that mode so the entry becomes real positive;
+    when no pending entry qualifies, every unpinned mode of the first
+    pending entry but the smallest is pinned to phase zero.
+    """
+    n = core.ndim
+    flat = core.reshape(-1)
+    mags = np.abs(flat)
+    biggest = int(np.argmax(mags))
+    kept = sorted(
+        (i for i in range(flat.size) if mags[i] > negligible or i == biggest),
+        key=lambda i: -mags[i],
+    )
+    group, prev, keyed = 0, mags[biggest], []
+    for i in kept:
+        if prev - mags[i] > negligible:
+            group += 1
+        prev = mags[i]
+        keyed.append((group, i))
+    order = [i for _, i in sorted(keyed)]
+    anchor = order[0]
+    g = -cmath.phase(flat[anchor])
+
+    def differ(i):
+        return [k for k in range(n) if (i ^ anchor) >> (n - 1 - k) & 1]
+
+    rho = [None] * n
+    pending = order[1:]
+    while pending:
+        for i in pending:
+            free = [k for k in differ(i) if rho[k] is None]
+            if len(free) <= 1:
+                break
+        else:
+            free = [k for k in differ(pending[0]) if rho[k] is None]
+            for k in free[1:]:
+                rho[k] = 0.0
+            continue
+        pending.remove(i)
+        if free:
+            theta = cmath.phase(flat[i]) + g
+            rho[free[0]] = -(theta + sum(rho[m] for m in differ(i) if m != free[0]))
+    rho = [0.0 if r is None else r for r in rho]
+    out = np.empty_like(flat)
+    for i in range(flat.size):
+        out[i] = flat[i] * cmath.exp(1j * (g + sum(rho[k] for k in differ(i))))
+    return out.reshape(core.shape)

@@ -343,6 +343,20 @@ def test_signs_size_cap_exit_code(capsys):
     assert "size cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("wide.ket", "|" + "0" * 40 + ">"),
+        ("wide.json", '{"num_qubits": 40, "amplitudes": []}'),
+        ("huge.json", '{"num_qubits": 100000000, "amplitudes": []}'),
+    ],
+    ids=["ket-40-bits", "json-40", "json-1e8"],
+)
+def test_state_qubit_cap_exit_code(tmp_path, capsys, name, text):
+    assert main(["svals", "--state", put(tmp_path, name, text)]) == 4
+    assert "size cap" in capsys.readouterr().err
+
+
 def test_verify_text_and_json(capsys):
     assert main(["verify", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "PASS (n=3, factor=-1)"

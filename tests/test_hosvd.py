@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qhyper import (
     DimensionMismatchError,
     Hypermatrix,
     LuTag,
+    QubitState,
     ValidationError,
+    apply_local_unitaries,
     canonicalize_core,
     frobenius_norm,
     hosvd,
@@ -26,6 +30,7 @@ from qhyper import (
     random_su2,
     state_to_hypermatrix,
 )
+from qhyper.hosvd import DEGENERACY_GAP, _alignment_candidates
 
 TOL = 1e-10
 CROSS_TOL = 1e-12
@@ -277,6 +282,31 @@ def test_general_lu_pairs_canonicalize_to_equal_cores():
     assert checked >= 10
 
 
+def _test_state(kind, n, rng):
+    z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    if kind == "symmetric":
+        z = z[np.bitwise_count(np.arange(2**n))]  # depends on Hamming weight only
+    elif kind == "w-like":
+        z[np.bitwise_count(np.arange(2**n)) != 1] = 0.0
+    elif kind == "sparse":
+        z[rng.random(2**n) < 0.7] = 0.0
+        z[0] += 1.0
+    return QubitState(z / np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("negligible", [2.5e-11, 1e-3, 0.05, 1.0])
+@pytest.mark.parametrize("kind", ["generic", "symmetric", "w-like", "sparse"])
+def test_canonicalize_matches_per_entry_walk(kind, negligible):
+    rng = np.random.default_rng(605)
+    for n in range(1, 9):
+        psi = _test_state(kind, n, rng)
+        psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
+        res = hosvd(state_to_hypermatrix(psi))
+        expect = oracles.canonical_core_walk(res.core.data, negligible)
+        got = canonicalize_core(res, negligible=negligible).core.data
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # lu_equivalence
 
@@ -371,3 +401,32 @@ def test_lu_equivalence_never_not_equivalent_for_permuted_self():
         H = random_qubit_tensor(rng, 4)
         K = mode_permute(H, (4, 1, 3, 2))
         assert lu_equivalence(H, K).tag is not LuTag.NOT_EQUIVALENT
+
+
+def test_alignment_candidates_never_exceed_cap():
+    sv = np.array([0.8, 0.6])  # two modes with equal spectra: two candidates
+    for cap, expect in ((0, True), (1, True), (2, False)):
+        found, capped = _alignment_candidates((sv, sv), (sv, sv), TOL, cap)
+        assert [c.mapping for c in found] == [(1, 2), (2, 1)][:cap]
+        assert capped is expect
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["symmetric", "w-like", "generic"]),
+    n=st.integers(4, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lu_relabeled_copies_property(kind, n, seed):
+    # Cores equal in exact arithmetic must canonicalize alike whatever
+    # the roundoff, so symmetric states (every relabeling aligns) match.
+    rng = np.random.default_rng(seed)
+    psi = _test_state(kind, n, rng)
+    Us = [random_su2(rng.integers(2**63)) for _ in range(n)]
+    mapping = tuple(int(j) + 1 for j in rng.permutation(n))
+    H = state_to_hypermatrix(psi)
+    K = mode_permute(state_to_hypermatrix(apply_local_unitaries(psi, Us)), mapping)
+    tag = lu_equivalence(H, K).tag
+    assert tag is not LuTag.NOT_EQUIVALENT
+    if min_relative_gap(lu_fingerprint(H)) >= DEGENERACY_GAP:
+        assert tag is LuTag.EQUIVALENT_CORE_MATCH

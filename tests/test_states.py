@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qhyper import (
     Hypermatrix,
     KetSyntaxError,
     QubitState,
+    SizeCapError,
     ValidationError,
     apply_local_unitaries,
     format_ket,
@@ -26,6 +28,7 @@ from qhyper import (
     state_to_hypermatrix,
     state_to_json,
 )
+from qhyper.states import MAX_QUBITS
 
 TOL = 1e-12
 
@@ -339,3 +342,29 @@ def test_state_json_rejects_non_numeric_parts(bad):
 def test_state_json_rejects_bad_num_qubits(n):
     with pytest.raises(ValidationError):
         state_from_json({"num_qubits": n, "amplitudes": []})
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: parse_ket("|" + "0" * 40 + ">"),
+        lambda: state_from_json({"num_qubits": 40, "amplitudes": []}),
+        lambda: state_from_json({"num_qubits": 100_000_000, "amplitudes": []}),
+        lambda: state_from_json({"num_qubits": MAX_QUBITS + 1, "amplitudes": []}),
+    ],
+    ids=["ket-40-bits", "json-40", "json-1e8", "json-cap-plus-1"],
+)
+def test_qubit_cap_checked_before_allocation(load):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_qubit_cap_admits_the_cap():
+    with pytest.raises(ValidationError):  # wrong length, but not over the cap
+        state_from_json({"num_qubits": MAX_QUBITS, "amplitudes": []})
