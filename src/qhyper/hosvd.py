@@ -291,6 +291,8 @@ def _alignment_candidates(fa, fb, tol, cap):
         [j for j in range(N) if float(np.max(np.abs(fa[j] - fb[k]))) <= tol]
         for k in range(N)
     ]
+    if not all(options):
+        return [], False
 
     def extend(prefix):
         if len(prefix) == N:
