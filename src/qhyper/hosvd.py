@@ -19,6 +19,14 @@ inequivalent.  An alignment plus matching cores after a deterministic
 phase canonicalization certifies equivalence (a permuted tensor with
 the same core is reachable by local unitaries); the remaining cases
 are reported as inconclusive rather than guessed.
+
+The equivalence test decomposes each input once.  The HOSVD commutes
+with mode permutation, so the HOSVD of a relabelled copy of A is A's
+factors and spectra re-indexed and A's core permuted.  Alignments are
+generated lazily in lexicographic order and the search stops at the
+first core match; after ``RELABEL_CAP`` tried alignments it gives up,
+and the verdict says the search was capped only when a further
+alignment exists.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .tensor import (
     Hypermatrix,
-    ModePermutation,
     frobenius_norm,
     k_mode_unfold,
     mode_permute,
@@ -126,14 +133,15 @@ def mode_factor(H: Hypermatrix, k: int):
     svals = np.array([math.sqrt(lam_hi), math.sqrt(lam_lo)])
     if r <= 1e-15 * s or s == 0.0:
         # Degenerate (or zero) spectrum: any orthonormal basis works.
-        return np.eye(2, dtype=np.complex128), svals
-    if d >= 0.0:
-        v1 = np.array([0.5 * (r + d), c.conjugate()], dtype=np.complex128)
+        V = np.eye(2, dtype=np.complex128)
     else:
-        v1 = np.array([c, 0.5 * (r - d)], dtype=np.complex128)
-    v1 /= np.linalg.norm(v1)
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-    V = np.column_stack([v1, v2])
+        if d >= 0.0:
+            v1 = np.array([0.5 * (r + d), c.conjugate()], dtype=np.complex128)
+        else:
+            v1 = np.array([c, 0.5 * (r - d)], dtype=np.complex128)
+        v1 /= np.linalg.norm(v1)
+        v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
+        V = np.column_stack([v1, v2])
     V.setflags(write=False)
     svals.setflags(write=False)
     return V, svals
@@ -144,13 +152,20 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
     return mode_factor(H, k)[1]
 
 
+def _mode_pairs(H):
+    return [mode_factor(H, k) for k in range(1, H.order + 1)]
+
+
+def _hosvd_from_pairs(H, pairs) -> HosvdResult:
+    """HOSVD of H from its ``(V, svals)`` pairs, one per mode."""
+    factors = tuple(V for V, _ in pairs)
+    core = multilinear_multiply([V.conj().T for V in factors], H)
+    return HosvdResult(factors=factors, core=core, mode_svals=tuple(sv for _, sv in pairs))
+
+
 def hosvd(H: Hypermatrix) -> HosvdResult:
     """Higher-order SVD of a hypermatrix with every mode of length 2."""
-    pairs = [mode_factor(H, k) for k in range(1, H.order + 1)]
-    factors = tuple(V for V, _ in pairs)
-    svals = tuple(sv for _, sv in pairs)
-    core = multilinear_multiply([V.conj().T for V in factors], H)
-    return HosvdResult(factors=factors, core=core, mode_svals=svals)
+    return _hosvd_from_pairs(H, _mode_pairs(H))
 
 
 def lu_fingerprint(H: Hypermatrix):
@@ -280,11 +295,12 @@ class LuVerdict:
     detail: str = ""
 
 
-def _alignment_candidates(fa, fb, tol, cap):
-    """Mode permutations sigma with fa[sigma(k)] = fb[k] within tol.
+def _alignment_candidates(fa, fb, tol):
+    """Mode mappings sigma with fa[sigma(k)] = fb[k] within tol.
 
-    Returns (candidates, capped); candidates are in lexicographic
-    mapping order and at most ``cap`` of them are collected.
+    A lazy generator of one-based mapping tuples (as in
+    :class:`ModePermutation`) in lexicographic order; it yields nothing
+    at once when some mode of B matches no spectrum of A.
     """
     N = len(fa)
     options = [
@@ -292,18 +308,17 @@ def _alignment_candidates(fa, fb, tol, cap):
         for k in range(N)
     ]
     if not all(options):
-        return [], False
+        return
 
     def extend(prefix):
         if len(prefix) == N:
-            yield ModePermutation(tuple(j + 1 for j in prefix))
+            yield tuple(j + 1 for j in prefix)
             return
         for j in options[len(prefix)]:
             if j not in prefix:
                 yield from extend(prefix + (j,))
 
-    found = list(itertools.islice(extend(()), cap + 1))
-    return found[:cap], len(found) > cap
+    yield from extend(())
 
 
 def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> LuVerdict:
@@ -316,7 +331,8 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     means some alignment exists under which the phase-canonicalized
     cores agree entrywise within ``tol``, with every mode spectrum
     non-degenerate.  Everything else is ``Inconclusive``; the test never
-    guesses.
+    guesses.  At most ``RELABEL_CAP`` alignments are tried, first match
+    wins.
 
     Both inputs must have equal dims and unit Frobenius norm within
     ``tol`` (no silent renormalization).
@@ -328,10 +344,13 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
             raise ValidationError(
                 f"{name} input is not normalized (norm {frobenius_norm(T)!r})"
             )
-    fa = lu_fingerprint(A)
-    fb = lu_fingerprint(B)
-    candidates, capped = _alignment_candidates(fa, fb, tol, RELABEL_CAP)
-    if not candidates:
+    pairs_a = _mode_pairs(A)
+    pairs_b = _mode_pairs(B)
+    fa = tuple(sv for _, sv in pairs_a)
+    fb = tuple(sv for _, sv in pairs_b)
+    candidates = _alignment_candidates(fa, fb, tol)
+    first = next(candidates, None)
+    if first is None:
         for k, (sa, sb) in enumerate(zip(fa, fb), start=1):
             if np.max(np.abs(sa - sb)) > tol:
                 return LuVerdict(
@@ -350,22 +369,31 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
                     "is not phase-determined"
                 ),
             )
-    cb = canonicalize_core(hosvd(B), negligible=tol / 4).core
+    # The HOSVD commutes with mode permutation, so A is decomposed once
+    # and each candidate only re-indexes its factors and permutes its core.
+    ra = _hosvd_from_pairs(A, pairs_a)
+    cb = canonicalize_core(_hosvd_from_pairs(B, pairs_b), negligible=tol / 4).core
     best_gap = None
-    for sigma in candidates:
-        ca = canonicalize_core(hosvd(mode_permute(A, sigma)), negligible=tol / 4).core
+    for sigma in itertools.islice(itertools.chain((first,), candidates), RELABEL_CAP):
+        permuted = HosvdResult(
+            factors=tuple(ra.factors[j - 1] for j in sigma),
+            core=mode_permute(ra.core, sigma),
+            mode_svals=tuple(ra.mode_svals[j - 1] for j in sigma),
+        )
+        ca = canonicalize_core(permuted, negligible=tol / 4).core
         gap = float(np.max(np.abs(ca.data - cb.data)))
         if gap <= tol:
-            is_id = sigma.mapping == tuple(range(1, len(sigma.mapping) + 1))
+            is_id = sigma == tuple(range(1, len(sigma) + 1))
             return LuVerdict(
                 tag=LuTag.EQUIVALENT_CORE_MATCH,
-                detail="" if is_id else f"after relabeling modes by {sigma.mapping}",
+                detail="" if is_id else f"after relabeling modes by {sigma}",
             )
         best_gap = gap if best_gap is None else min(best_gap, gap)
     detail = (
         "fingerprints align but canonical cores differ "
         f"(best max entry gap {best_gap:.3e})"
     )
-    if capped:
+    # Capped only when an alignment beyond the RELABEL_CAP tried exists.
+    if next(candidates, None) is not None:
         detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
     return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
 from .hyperdet import MAX_SIGN_N, hdet_fast, sign_string_sigma
-from .tensor import Hypermatrix, _complex_from_json, _complex_to_json, _json_int
+from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _complex_to_json, _json_int
 
 __all__ = [
     "MAX_QUBITS",
@@ -252,8 +252,18 @@ def format_ket(state: QubitState) -> str:
 
 
 def state_to_hypermatrix(state: QubitState) -> Hypermatrix:
-    """Row-major reshape of the amplitudes into an order-n qubit cube."""
+    """Row-major reshape of the amplitudes into an order-n qubit cube.
+
+    Raises
+    ------
+    SizeCapError
+        When the state has more than ``tensor.MAX_ORDER`` qubits.
+    """
     n = state.num_qubits
+    if n > MAX_ORDER:
+        raise SizeCapError(
+            f"hypermatrices are capped at order {MAX_ORDER}, got {n} qubits"
+        )
     return Hypermatrix(state.amplitudes.reshape((2,) * n))
 
 

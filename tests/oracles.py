@@ -5,6 +5,9 @@ naive loops or well-tested numpy routines (svd, eigvalsh, kron) and
 shares no code with the package: permutation parity is counted by
 inversions instead of cycles, unfoldings use the explicit column-index
 formula, the spin flip builds the actual complex Kronecker power.
+The one exception is :func:`lu_equivalence_recompute`, a reference for
+the relabeling search only: it decomposes every relabelled copy with
+the package's own HOSVD and canonicalization.
 """
 
 import cmath
@@ -12,6 +15,10 @@ import itertools
 import math
 
 import numpy as np
+
+from qhyper import LuTag, LuVerdict, SvalCertificate
+from qhyper import canonicalize_core, hosvd, lu_fingerprint, mode_permute
+from qhyper.hosvd import DEGENERACY_GAP, RELABEL_CAP
 
 
 def naive_multilinear(mats, data):
@@ -190,3 +197,52 @@ def canonical_core_walk(core, negligible):
     for i in range(flat.size):
         out[i] = flat[i] * cmath.exp(1j * (g + sum(rho[k] for k in differ(i))))
     return out.reshape(core.shape)
+
+
+def lu_equivalence_recompute(A, B, tol):
+    """LU-equivalence verdict by an eager, recomputing relabeling search.
+
+    Collects every alignment of the fingerprints (``RELABEL_CAP + 1`` at
+    most) into a list up front, then decomposes each relabelled copy of
+    A from scratch with ``hosvd(mode_permute(A, sigma))``.  Inputs must
+    already be normalized with equal dims.
+    """
+    fa = lu_fingerprint(A)
+    fb = lu_fingerprint(B)
+    N = len(fa)
+    found = []
+    for perm in itertools.permutations(range(N)):
+        if all(np.max(np.abs(fa[j] - fb[k])) <= tol for k, j in enumerate(perm)):
+            found.append(tuple(j + 1 for j in perm))
+            if len(found) > RELABEL_CAP:
+                break
+    if not found:
+        for k, (sa, sb) in enumerate(zip(fa, fb), start=1):
+            if np.max(np.abs(sa - sb)) > tol:
+                return LuVerdict(
+                    tag=LuTag.NOT_EQUIVALENT,
+                    certificate=SvalCertificate(mode=k, svals_a=tuple(sa), svals_b=tuple(sb)),
+                    detail="no relabeling aligns the singular-value fingerprints",
+                )
+    for k, sv in enumerate(fb, start=1):
+        if sv[0] <= 0.0 or (sv[0] - sv[1]) / sv[0] < DEGENERACY_GAP:
+            return LuVerdict(
+                tag=LuTag.INCONCLUSIVE,
+                detail=(
+                    f"mode {k} spectrum is degenerate; the core comparison "
+                    "is not phase-determined"
+                ),
+            )
+    cb = canonicalize_core(hosvd(B), negligible=tol / 4).core.data
+    gaps = []
+    for mapping in found[:RELABEL_CAP]:
+        ca = canonicalize_core(hosvd(mode_permute(A, mapping)), negligible=tol / 4).core.data
+        gaps.append(float(np.max(np.abs(ca - cb))))
+        if gaps[-1] <= tol:
+            is_id = mapping == tuple(range(1, N + 1))
+            detail = "" if is_id else f"after relabeling modes by {mapping}"
+            return LuVerdict(tag=LuTag.EQUIVALENT_CORE_MATCH, detail=detail)
+    detail = f"fingerprints align but canonical cores differ (best max entry gap {min(gaps):.3e})"
+    if len(found) > RELABEL_CAP:
+        detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
+    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)

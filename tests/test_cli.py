@@ -357,6 +357,14 @@ def test_state_qubit_cap_exit_code(tmp_path, capsys, name, text):
     assert "size cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["svals", "hosvd"])
+def test_hypermatrix_order_cap_exit_code(tmp_path, capsys, command):
+    # 17 qubits is a valid state but one order past the hypermatrix cap.
+    path = put(tmp_path, "w17.ket", "|" + "0" * 17 + ">")
+    assert main([command, "--state", path]) == 4
+    assert "size cap" in capsys.readouterr().err
+
+
 def test_verify_text_and_json(capsys):
     assert main(["verify", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "PASS (n=3, factor=-1)"

@@ -1,5 +1,7 @@
 """Closed-form qubit HOSVD, fingerprints, canonicalization, equivalence."""
 
+import importlib
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +118,22 @@ def test_mode_factor_degenerate_spectrum_gives_identity():
     V, sv = mode_factor(H, 1)
     np.testing.assert_array_equal(V, np.eye(2))
     np.testing.assert_allclose(sv, [1 / math.sqrt(2)] * 2, atol=CROSS_TOL)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([[0.9, 0.1], [0.05, 0.4]]),  # non-degenerate
+        np.eye(2) / math.sqrt(2),  # degenerate spectrum
+        np.zeros((2, 2)),  # zero spectrum
+    ],
+    ids=["generic", "degenerate", "zero"],
+)
+def test_mode_factor_returns_read_only_arrays(data):
+    # lu_equivalence shares one input's factors across every relabeling.
+    V, sv = mode_factor(Hypermatrix(data), 1)
+    assert not V.flags.writeable
+    assert not sv.flags.writeable
 
 
 def test_mode_factor_rejects_long_modes():
@@ -404,8 +422,10 @@ def test_lu_equivalence_never_not_equivalent_for_permuted_self():
 def test_alignment_candidates_never_exceed_cap():
     sv = np.array([0.8, 0.6])  # two modes with equal spectra: two candidates
     for cap, expect in ((0, True), (1, True), (2, False)):
-        found, capped = _alignment_candidates((sv, sv), (sv, sv), TOL, cap)
-        assert [c.mapping for c in found] == [(1, 2), (2, 1)][:cap]
+        candidates = _alignment_candidates((sv, sv), (sv, sv), TOL)
+        found = list(itertools.islice(candidates, cap))
+        assert found == [(1, 2), (2, 1)][:cap]
+        capped = next(candidates, None) is not None
         assert capped is expect
 
 
@@ -415,7 +435,7 @@ def test_alignment_candidates_stop_when_a_mode_matches_nothing():
     sv = np.array([0.8, 0.6])
     fa = (sv,) * 16
     fb = (sv,) * 15 + (np.array([1.0, 0.0]),)
-    assert _alignment_candidates(fa, fb, TOL, 1000) == ([], False)
+    assert list(_alignment_candidates(fa, fb, TOL)) == []
 
 
 def test_lu_equivalence_unmatched_mode_is_not_equivalent():
@@ -427,3 +447,73 @@ def test_lu_equivalence_unmatched_mode_is_not_equivalent():
     verdict = lu_equivalence(A, B)
     assert verdict.tag is LuTag.NOT_EQUIVALENT
     assert verdict.certificate.mode == n
+
+
+HOSVD_MODULE = importlib.import_module("qhyper.hosvd")
+
+
+def _w_and_ghz_like(n):
+    """W_n and sqrt((n-1)/n)|0^n> + sqrt(1/n)|1^n>: every mode spectrum is
+    (sqrt((n-1)/n), sqrt(1/n)), so all n! relabelings align, yet the
+    states are not LU-equivalent."""
+    w = hyper(" + ".join(f"1/sqrt({n})|{'0' * k}1{'0' * (n - k - 1)}>" for k in range(n)))
+    ghz = np.zeros((2,) * n, dtype=complex)
+    ghz[(0,) * n] = math.sqrt((n - 1) / n)
+    ghz[(1,) * n] = math.sqrt(1 / n)
+    return w, Hypermatrix(ghz)
+
+
+def _relabelled_lu_copy(kind, n, rng):
+    psi = _test_state(kind, n, rng)
+    Us = [random_su2(rng.integers(2**63)) for _ in range(n)]
+    mapping = tuple(int(j) + 1 for j in rng.permutation(n))
+    K = mode_permute(state_to_hypermatrix(apply_local_unitaries(psi, Us)), mapping)
+    return state_to_hypermatrix(psi), K
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(706)
+    for n in range(3, 9):
+        for kind in ("generic", "symmetric", "w-like"):
+            yield pytest.param(*_relabelled_lu_copy(kind, n, rng), id=f"{kind}-lu-{n}")
+        independent = (
+            random_qubit_tensor(rng, n),
+            state_to_hypermatrix(_test_state("symmetric", n, rng)),
+        )
+        yield pytest.param(*independent, id=f"independent-{n}")
+        ghz = np.zeros((2,) * n, dtype=complex)
+        ghz[(0,) * n] = ghz[(1,) * n] = 1 / math.sqrt(2)
+        yield pytest.param(Hypermatrix(ghz), Hypermatrix(ghz), id=f"degenerate-{n}")
+        if n <= 7:  # n! alignments, none matching; capped at 7
+            yield pytest.param(*_w_and_ghz_like(n), id=f"w-vs-ghz-like-{n}")
+
+
+@pytest.mark.parametrize("A, B", list(_oracle_cases()))
+def test_lu_equivalence_matches_recompute_oracle(A, B):
+    got = lu_equivalence(A, B)
+    expect = oracles.lu_equivalence_recompute(A, B, TOL)
+    assert got.tag is expect.tag
+    assert got.detail == expect.detail
+    assert got.certificate == expect.certificate
+
+
+def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
+    calls = []
+    real = HOSVD_MODULE.mode_factor
+    monkeypatch.setattr(HOSVD_MODULE, "mode_factor", lambda H, k: calls.append(k) or real(H, k))
+    A, B = _relabelled_lu_copy("symmetric", 6, np.random.default_rng(707))
+    assert lu_equivalence(A, B).tag is LuTag.EQUIVALENT_CORE_MATCH
+    assert calls == list(range(1, 7)) * 2
+
+
+def test_lu_equivalence_capped_search(monkeypatch):
+    # W_7 against its GHZ-like twin: 7! = 5040 alignments, none matches.
+    calls = []
+    real = HOSVD_MODULE.canonicalize_core
+    monkeypatch.setattr(
+        HOSVD_MODULE, "canonicalize_core", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    verdict = lu_equivalence(*_w_and_ghz_like(7))
+    assert verdict.tag is LuTag.INCONCLUSIVE
+    assert "capped at 720 candidates" in verdict.detail
+    assert len(calls) == 721  # B once, then one per tried alignment

@@ -174,6 +174,14 @@ def test_state_hypermatrix_entry_correspondence():
     np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
 
 
+def test_state_to_hypermatrix_order_cap():
+    basis = np.zeros(2**16, dtype=complex)
+    basis[0] = 1.0
+    assert state_to_hypermatrix(QubitState(basis)).order == 16
+    with pytest.raises(SizeCapError, match="order 16"):
+        state_to_hypermatrix(QubitState(np.append(basis, np.zeros(2**16))))
+
+
 def test_hypermatrix_to_state_validation():
     with pytest.raises(ValidationError):
         hypermatrix_to_state(Hypermatrix(np.zeros((2, 3))))
