@@ -7,20 +7,22 @@ write state JSON.  JSON floats are Python's shortest round-trip
 the identical double; text output prints floats at 17 significant
 digits.  Exit codes: 0 success (verdicts and failed verifications are
 data, not errors), 1 usage, 2 input that does not parse, 3 validation
-or numeric-domain failure, 4 size cap exceeded.  The default tolerance
-is 1e-10, overridable by the QHYPER_TOL environment variable and the
-``--tol`` flag (flag wins).
+or numeric-domain failure, 4 size cap exceeded.  Every subcommand takes
+``--output``; only ``lu-equiv`` takes a tolerance (default 1e-10,
+overridable by the QHYPER_TOL environment variable and the ``--tol``
+flag, flag wins) and only ``bench`` takes ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from . import hyperdet, states, tensor
 from .hosvd import DEFAULT_TOL, hosvd, lu_equivalence, lu_fingerprint, mode_svals
 from .errors import KetSyntaxError, QhyperError, SizeCapError, ValidationError
 
-__all__ = ["RunConfig", "main", "entry", "run_bench"]
+__all__ = ["main", "entry", "run_bench"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,24 +39,19 @@ EXIT_INVALID = 3
 EXIT_SIZE_CAP = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by all subcommands."""
-
-    tolerance: float
-    seed: int
-    output: str  # "text" | "json"
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(cfg, payload, lines, out_path=None):
-    """Write ``payload`` as JSON (always, when ``lines`` is None) or the
-    text ``lines`` to ``out_path``, or to stdout when it is not given."""
+def _spectrum_lines(spectra, first=1):
+    return (f"mode {k}: {_fmt(sv[0])} {_fmt(sv[1])}" for k, sv in enumerate(spectra, first))
+
+
+def _emit(payload, lines, out_path=None):
+    """Write the text ``lines``, or ``payload`` as JSON when ``lines`` is
+    None, to ``out_path``, or to stdout when it is not given."""
     with (open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
-        if lines is None or cfg.output == "json":
+        if lines is None:
             # Streamed: json.dumps would first hold every chunk in memory.
             json.dump(payload, fh, indent=2)
         else:
@@ -74,10 +71,7 @@ def _load_state(path: str, *, renormalize=False, check_norm=True) -> states.Qubi
         return states.parse_ket(raw, renormalize=renormalize, check_norm=check_norm)
     state = states.state_from_json(json.loads(raw), check_norm=check_norm and not renormalize)
     if renormalize:
-        norm = np.linalg.norm(state.amplitudes)
-        if norm == 0.0:
-            raise ValidationError("cannot renormalize the zero vector")
-        state = states.QubitState(state.amplitudes / norm)
+        state = states.QubitState(states._unit_vector(state.amplitudes))
     return state
 
 
@@ -88,14 +82,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _common_flags(p):
-    p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument(
-        "--output", choices=("text", "json"), default="text", help="output format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,46 +98,39 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip normalization check entirely (diagnostics)",
     )
-    _common_flags(p)
 
     p = sub.add_parser("svals", help="per-mode singular values of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--mode", type=int, default=None, help="one mode only (1-based)")
-    _common_flags(p)
 
     p = sub.add_parser("hosvd", help="full decomposition report")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--out", help="output file (default stdout)")
-    _common_flags(p)
 
     p = sub.add_parser("lu-equiv", help="three-valued local-unitary equivalence")
     p.add_argument("--a", required=True, help="first state file")
     p.add_argument("--b", required=True, help="second state file")
-    _common_flags(p)
+    p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
 
     p = sub.add_parser("permute", help="permute the qubit slots of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--perm", required=True, help="comma list, e.g. 3,2,1")
     p.add_argument("--out", help="output file (default stdout)")
-    _common_flags(p)
 
     p = sub.add_parser("hdet", help="combinatorial hyperdeterminant of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument(
         "--method", choices=("fast", "reduced", "general"), default="fast"
     )
-    _common_flags(p)
 
     p = sub.add_parser("tangle", help="n-tangle of a 2n-qubit state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--via", choices=("spinflip", "hdet"), default="spinflip")
-    _common_flags(p)
 
     p = sub.add_parser("signs", help="print a sign string")
     p.add_argument("--what", choices=("ent", "sigma"), required=True)
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
     p.add_argument("--blocks", action="store_true", help="print P/N blocks")
-    _common_flags(p)
 
     p = sub.add_parser("verify", help="check the antidiagonal sign identity")
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
@@ -161,17 +140,54 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="also compare dense sign matrices (auto: n <= 5)",
     )
-    _common_flags(p)
 
     p = sub.add_parser("bench", help="time the fast vs. reduced hyperdeterminant")
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
     p.add_argument("--reps", type=int, default=5, help="repetitions per method")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--output", choices=("text", "json"), default="text", help="output format"
+        )
     return parser
 
 
-def _config(args) -> RunConfig:
+# Each _cmd_* returns (payload, lines): ``lines`` is None when the command
+# always writes JSON, else an iterable that only text output consumes.
+
+
+def _cmd_parse(args):
+    state = _load_state(
+        args.infile, renormalize=args.renormalize, check_norm=not args.no_normalize
+    )
+    return states.state_to_json(state), None
+
+
+def _cmd_svals(args):
+    H = states.state_to_hypermatrix(_load_state(args.state))
+    if args.mode is not None:
+        sv = mode_svals(H, args.mode)
+        return {"mode": args.mode, "svals": sv.tolist()}, _spectrum_lines([sv], args.mode)
+    fp = lu_fingerprint(H)
+    return {"mode_svals": [sv.tolist() for sv in fp]}, _spectrum_lines(fp)
+
+
+def _cmd_hosvd(args):
+    res = hosvd(states.state_to_hypermatrix(_load_state(args.state)))
+    payload = {
+        "mode_svals": [sv.tolist() for sv in res.mode_svals],
+        "factors": [tensor.matrix_to_json(V) for V in res.factors],
+        "core": tensor.tensor_to_json(res.core),
+    }
+    core_lines = (
+        f"core[{','.join(str(i) for i in idx)}] = {_fmt(z.real)} {_fmt(z.imag)}i"
+        for idx, z in np.ndenumerate(res.core.data)
+    )
+    return payload, itertools.chain(_spectrum_lines(res.mode_svals), core_lines)
+
+
+def _cmd_lu_equiv(args):
     tol = args.tol
     if tol is None:
         raw = os.environ.get("QHYPER_TOL", DEFAULT_TOL)
@@ -179,66 +195,10 @@ def _config(args) -> RunConfig:
             tol = float(raw)
         except ValueError:
             raise ValidationError(f"QHYPER_TOL must be a number, got {raw!r}") from None
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    return RunConfig(tolerance=tol, seed=args.seed, output=args.output)
-
-
-def _cmd_parse(args, cfg):
-    state = _load_state(
-        args.infile, renormalize=args.renormalize, check_norm=not args.no_normalize
-    )
-    _emit(cfg, states.state_to_json(state), None, args.out)
-    return EXIT_OK
-
-
-def _cmd_svals(args, cfg):
-    H = states.state_to_hypermatrix(_load_state(args.state))
-    if args.mode is not None:
-        sv = mode_svals(H, args.mode)
-        payload = {"mode": args.mode, "svals": [float(s) for s in sv]}
-        lines = [f"mode {args.mode}: {_fmt(sv[0])} {_fmt(sv[1])}"]
-    else:
-        fp = lu_fingerprint(H)
-        payload = {"mode_svals": [[float(s) for s in sv] for sv in fp]}
-        lines = [
-            f"mode {k}: {_fmt(sv[0])} {_fmt(sv[1])}" for k, sv in enumerate(fp, 1)
-        ]
-    _emit(cfg, payload, lines)
-    return EXIT_OK
-
-
-def _cmd_hosvd(args, cfg):
-    H = states.state_to_hypermatrix(_load_state(args.state))
-    res = hosvd(H)
-    payload = {
-        "mode_svals": [[float(s) for s in sv] for sv in res.mode_svals],
-        "factors": [tensor.matrix_to_json(V) for V in res.factors],
-        "core": tensor.tensor_to_json(res.core),
-    }
-    lines = [
-        f"mode {k}: {_fmt(sv[0])} {_fmt(sv[1])}"
-        for k, sv in enumerate(res.mode_svals, 1)
-    ]
-    lines += [
-        f"core[{','.join(str(i) for i in idx)}] = {_fmt(z.real)} {_fmt(z.imag)}i"
-        for idx, z in np.ndenumerate(res.core.data)
-    ]
-    _emit(cfg, payload, lines, args.out)
-    return EXIT_OK
-
-
-def _cmd_lu_equiv(args, cfg):
     A = states.state_to_hypermatrix(_load_state(args.a))
     B = states.state_to_hypermatrix(_load_state(args.b))
-    verdict = lu_equivalence(A, B, tol=cfg.tolerance)
-    cert = None
-    if verdict.certificate is not None:
-        cert = {
-            "mode": verdict.certificate.mode,
-            "svals_a": [float(s) for s in verdict.certificate.svals_a],
-            "svals_b": [float(s) for s in verdict.certificate.svals_b],
-        }
+    verdict = lu_equivalence(A, B, tol=tol)
+    cert = None if verdict.certificate is None else asdict(verdict.certificate)
     payload = {"verdict": verdict.tag.value, "certificate": cert, "detail": verdict.detail}
     line = verdict.tag.value
     if cert is not None:
@@ -249,11 +209,10 @@ def _cmd_lu_equiv(args, cfg):
         )
     elif verdict.detail:
         line += f": {verdict.detail}"
-    _emit(cfg, payload, [line])
-    return EXIT_OK
+    return payload, [line]
 
 
-def _cmd_permute(args, cfg):
+def _cmd_permute(args):
     state = _load_state(args.state)
     try:
         mapping = tuple(int(x) for x in args.perm.split(","))
@@ -261,11 +220,10 @@ def _cmd_permute(args, cfg):
         raise ValidationError(f"--perm must be a comma list of integers, got {args.perm!r}")
     H = states.state_to_hypermatrix(state)
     out = states.hypermatrix_to_state(tensor.mode_permute(H, mapping))
-    _emit(cfg, states.state_to_json(out), None, args.out)
-    return EXIT_OK
+    return states.state_to_json(out), None
 
 
-def _cmd_hdet(args, cfg):
+def _cmd_hdet(args):
     state = _load_state(args.state)
     if args.method == "fast":
         value = hyperdet.hdet_fast(state)
@@ -274,48 +232,32 @@ def _cmd_hdet(args, cfg):
         fn = hyperdet.hdet_reduced if args.method == "reduced" else hyperdet.hdet_general
         value = fn(H)
     payload = {"re": value.real, "im": value.imag, "method": args.method}
-    _emit(cfg, payload, [f"hdet ({args.method}) = {_fmt(value.real)} {_fmt(value.imag)}i"])
-    return EXIT_OK
+    return payload, [f"hdet ({args.method}) = {_fmt(value.real)} {_fmt(value.imag)}i"]
 
 
-def _cmd_tangle(args, cfg):
-    state = _load_state(args.state)
-    value = states.n_tangle(state, via=args.via)
-    payload = {"tangle": value, "via": args.via}
-    _emit(cfg, payload, [f"tangle ({args.via}) = {_fmt(value)}"])
-    return EXIT_OK
+def _cmd_tangle(args):
+    value = states.n_tangle(_load_state(args.state), via=args.via)
+    return {"tangle": value, "via": args.via}, [f"tangle ({args.via}) = {_fmt(value)}"]
 
 
-def _cmd_signs(args, cfg):
+def _cmd_signs(args):
     builder = (
         hyperdet.sign_string_ent if args.what == "ent" else hyperdet.sign_string_sigma
     )
     ss = builder(args.n)
     rendered = ss.block_string() if args.blocks else ss.as_string()
     key = "blocks" if args.blocks else "signs"
-    payload = {"what": args.what, "n": args.n, key: rendered}
-    _emit(cfg, payload, [rendered])
-    return EXIT_OK
+    return {"what": args.what, "n": args.n, key: rendered}, [rendered]
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     dense = {"auto": None, "on": True, "off": False}[args.dense]
     report = hyperdet.verify_antidiagonal_identity(args.n, dense=dense)
-    payload = {
-        "n": report.n,
-        "factor": report.factor,
-        "string_ok": report.string_ok,
-        "chi_ok": report.chi_ok,
-        "dense_ok": report.dense_ok,
-        "first_mismatch": report.first_mismatch,
-        "passed": report.passed,
-    }
     if report.passed:
         line = f"PASS (n={report.n}, factor={report.factor:+d})"
     else:
         line = f"FAIL (n={report.n}, first mismatch at {report.first_mismatch})"
-    _emit(cfg, payload, [line])
-    return EXIT_OK
+    return asdict(report) | {"passed": report.passed}, [line]
 
 
 def run_bench(n: int, reps: int, seed) -> dict:
@@ -351,16 +293,14 @@ def run_bench(n: int, reps: int, seed) -> dict:
     }
 
 
-def _cmd_bench(args, cfg):
-    payload = run_bench(args.n, args.reps, cfg.seed)
-    lines = [
+def _cmd_bench(args):
+    payload = run_bench(args.n, args.reps, args.seed)
+    return payload, [
         f"qubits: {payload['qubits']}  reps: {payload['reps']}",
         f"fast:    {_fmt(payload['mean_fast_s'])} s/call",
         f"reduced: {_fmt(payload['mean_reduced_s'])} s/call",
         f"max |delta|: {_fmt(payload['max_abs_delta'])}",
     ]
-    _emit(cfg, payload, lines)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -381,8 +321,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg)
+        payload, lines = _COMMANDS[args.command](args)
+        _emit(payload, None if args.output == "json" else lines, getattr(args, "out", None))
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -335,8 +335,11 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     wins.
 
     Both inputs must have equal dims and unit Frobenius norm within
-    ``tol`` (no silent renormalization).
+    ``tol`` (no silent renormalization); ``tol`` must be positive and
+    finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
     if A.dims != B.dims:
         raise DimensionMismatchError(f"dims differ: {A.dims} vs {B.dims}")
     for name, T in (("first", A), ("second", B)):

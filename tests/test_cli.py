@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qhyper import cli
 from qhyper.cli import main, run_bench
 
 PSI = "1/2|000> - 1/2|100> + 1/sqrt(2)|101>"
@@ -95,6 +96,34 @@ def test_parse_zero_json_renormalize_rejected(tmp_path, capsys):
     code = main(["parse", "--in", put(tmp_path, "s.json", raw), "--renormalize"])
     assert code == 3
     assert "zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("big.ket", "1e200|0> + 1e200|1>"),
+        ("big.json", json.dumps({"num_qubits": 1, "amplitudes": [{"re": 1e200, "im": 0.0}] * 2})),
+        ("tiny.ket", "1e-170|0> + 1e-170|1>"),
+        ("tiny.json", json.dumps({"num_qubits": 1, "amplitudes": [{"re": 1e-170, "im": 0.0}] * 2})),
+    ],
+)
+def test_parse_renormalize_extreme_magnitudes(tmp_path, capsys, name, text):
+    code, payload = run_json(capsys, ["parse", "--in", put(tmp_path, name, text), "--renormalize"])
+    assert code == 0
+    assert [a["re"] for a in payload["amplitudes"]] == [1 / math.sqrt(2)] * 2
+
+
+def test_parse_renormalize_infinite_amplitude_exit_code(tmp_path, capsys):
+    path = put(tmp_path, "inf.ket", "1e400|0> + 1|1>")
+    assert main(["parse", "--in", path, "--renormalize"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["20", "50"])
+def test_bench_qubit_cap_exit_code(capsys, n):
+    # 40 and 100 qubits: refused before random_state allocates anything.
+    assert main(["bench", "--n", n, "--reps", "1"]) == 4
+    assert "size cap" in capsys.readouterr().err
 
 
 def test_parse_renormalize_and_no_normalize_exclusive(tmp_path, capsys):
@@ -405,12 +434,54 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_malformed_env_tolerance_exit_code(capsys, monkeypatch):
+def test_malformed_env_tolerance_exit_code(tmp_path, capsys, monkeypatch):
+    a = put(tmp_path, "a.ket", PSI)
     monkeypatch.setenv("QHYPER_TOL", "abc")
-    assert main(["signs", "--what", "ent", "--n", "1"]) == 3
+    assert main(["lu-equiv", "--a", a, "--b", a]) == 3
     assert "QHYPER_TOL" in capsys.readouterr().err
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):
+    a = put(tmp_path, "a.ket", PSI)
+    assert main(["lu-equiv", "--a", a, "--b", a, "--tol", "-1"]) == 3
+
+
+def test_non_finite_tolerance_rejected(tmp_path, capsys, monkeypatch):
+    a = put(tmp_path, "a.ket", PSI)
+    assert main(["lu-equiv", "--a", a, "--b", a, "--tol", "nan"]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    monkeypatch.setenv("QHYPER_TOL", "nan")
+    assert main(["lu-equiv", "--a", a, "--b", a]) == 3
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tangle", "--state", "bell.ket", "--tol", "1e-8"],
+        ["svals", "--state", "bell.ket", "--seed", "1"],
+        ["hdet", "--state", "bell.ket", "--tol", "1"],
+    ],
+    ids=" ".join,
+)
+def test_flags_only_on_the_subcommand_that_reads_them(tmp_path, capsys, argv):
     path = put(tmp_path, "bell.ket", BELL)
-    assert main(["tangle", "--state", path, "--tol", "-1"]) == 3
+    assert main([path if a == "bell.ket" else a for a in argv]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_env_tolerance_ignored_outside_lu_equiv(capsys, monkeypatch):
+    monkeypatch.setenv("QHYPER_TOL", "abc")
+    assert main(["signs", "--what", "ent", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "+--+\n"
+
+
+@pytest.mark.parametrize("command", ["hosvd", "svals"])
+def test_json_output_formats_no_text_lines(tmp_path, capsys, monkeypatch, command):
+    def refuse(x):
+        raise AssertionError("text formatting in a JSON run")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    code, payload = run_json(capsys, [command, "--state", put(tmp_path, "s.ket", PSI)])
+    assert code == 0
+    assert len(payload["mode_svals"]) == 3

@@ -410,6 +410,14 @@ def test_lu_equivalence_input_validation():
         lu_equivalence(H3, unnormalized)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_lu_equivalence_rejects_bad_tolerance(tol):
+    psi = hyper("1/2|000> - 1/2|100> + 1/sqrt(2)|101>")
+    phi = hyper("1/2|000> - 1/2|010> + 1/sqrt(2)|101>")
+    with pytest.raises(ValidationError, match="tolerance"):
+        lu_equivalence(psi, phi, tol=tol)
+
+
 def test_lu_equivalence_never_not_equivalent_for_permuted_self():
     # Relabeling-aware: a permuted copy can never be proven inequivalent.
     rng = np.random.default_rng(704)

@@ -139,6 +139,30 @@ def test_parse_norm_policy():
     assert abs(np.vdot(s.amplitudes, s.amplitudes).real - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("1e200|0> + 1e200|1>", [1 / math.sqrt(2), 1 / math.sqrt(2)]),
+        ("1e-170|0>", [1.0, 0.0]),
+        ("(1e-300+1e-300i)|0>", [complex(1, 1) / math.sqrt(2), 0.0]),
+    ],
+)
+def test_parse_renormalize_survives_norm_overflow(text, expect):
+    s = parse_ket(text, renormalize=True)
+    np.testing.assert_allclose(s.amplitudes, expect, rtol=0, atol=1e-15)
+
+
+def test_parse_tiny_state_is_not_the_zero_vector():
+    with pytest.raises(ValidationError, match="not normalized"):
+        parse_ket("1e-170|0>")
+    assert parse_ket("1e-170|0>", check_norm=False).amplitudes[0] == 1e-170
+
+
+def test_parse_renormalize_rejects_infinite_amplitude():
+    with pytest.raises(ValidationError, match="finite"):
+        parse_ket("1e400|0> + 1|1>", renormalize=True)
+
+
 def test_parse_no_normalize_escape_hatch():
     s = parse_ket("0.6|0>", check_norm=False)
     np.testing.assert_allclose(s.amplitudes, [0.6, 0.0], atol=0)
@@ -359,8 +383,10 @@ def test_state_json_rejects_bad_num_qubits(n):
         lambda: state_from_json({"num_qubits": 40, "amplitudes": []}),
         lambda: state_from_json({"num_qubits": 100_000_000, "amplitudes": []}),
         lambda: state_from_json({"num_qubits": MAX_QUBITS + 1, "amplitudes": []}),
+        lambda: random_state(40, 0),
+        lambda: random_state(100, 0),
     ],
-    ids=["ket-40-bits", "json-40", "json-1e8", "json-cap-plus-1"],
+    ids=["ket-40-bits", "json-40", "json-1e8", "json-cap-plus-1", "random-40", "random-100"],
 )
 def test_qubit_cap_checked_before_allocation(load):
     tracemalloc.start()

@@ -1,0 +1,81 @@
+"""Fuzz of the two state readers: ket text and state JSON.
+
+Every call must return a ``QubitState`` or raise a ``QhyperError``;
+any other exception, or a NumPy warning (pytest turns warnings into
+errors), fails.  Needs the optional ``hypothesis`` package; the module
+is skipped without it.
+"""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qhyper import QhyperError, QubitState, parse_ket, state_from_json  # noqa: E402
+from qhyper.cli import _load_state  # noqa: E402
+
+# Decimals with exponents up to +-400, so squared norms (and the
+# amplitudes themselves) overflow to inf or underflow to 0.
+decimals = st.builds(
+    "{}e{}".format, st.sampled_from(["0", "1", "2.5", ".5", "7.", "0.6"]), st.integers(-400, 400)
+) | st.sampled_from(["0", "1", "0.6", "0.8", "3"])
+coefficients = st.one_of(
+    st.just(""),
+    decimals,
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 9)),
+    st.builds("1/sqrt({})".format, st.integers(0, 9)),
+    st.builds("({}{}{}i)".format, decimals, st.sampled_from("+-"), decimals),
+)
+
+
+@st.composite
+def kets(draw):
+    width = draw(st.integers(1, 4))
+    bits = st.text("01", min_size=width, max_size=width)
+    terms = draw(st.lists(st.tuples(coefficients, st.sampled_from(["", "*"]), bits), min_size=1, max_size=5))
+    signs = draw(st.lists(st.sampled_from([" + ", " - ", "-"]), min_size=len(terms), max_size=len(terms)))
+    text = "".join(f"{s}{c}{star}|{b}>" for s, (c, star, b) in zip(signs, terms))
+    return text[3:] if text.startswith(" + ") else text
+
+
+@st.composite
+def state_objects(draw):
+    n = draw(st.integers(0, 3))
+    parts = st.floats() | st.builds(float, decimals)
+    length = draw(st.sampled_from([2**n, 2**n, 2**n + 1]))
+    amps = draw(st.lists(st.fixed_dictionaries({"re": parts, "im": parts}), min_size=length, max_size=length))
+    return {"num_qubits": n, "amplitudes": amps}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=kets() | st.text("01|<>+-*/.()eisqrt 5", max_size=30),
+    renormalize=st.booleans(),
+    check_norm=st.booleans(),
+)
+def test_parse_ket_returns_state_or_qhyper_error(text, renormalize, check_norm):
+    try:
+        state = parse_ket(text, renormalize=renormalize, check_norm=check_norm)
+    except QhyperError:
+        return
+    assert isinstance(state, QubitState)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=state_objects(), renormalize=st.booleans(), check_norm=st.booleans())
+def test_state_json_returns_state_or_qhyper_error(tmp_path_factory, obj, renormalize, check_norm):
+    # The CLI's --renormalize on state JSON goes through _load_state.
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.json"
+    path.write_text(json.dumps(obj))
+    for read in (
+        lambda: state_from_json(obj, check_norm=check_norm),
+        lambda: _load_state(str(path), renormalize=renormalize, check_norm=check_norm),
+    ):
+        try:
+            state = read()
+        except QhyperError:
+            continue
+        assert isinstance(state, QubitState)
