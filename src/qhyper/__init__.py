@@ -3,8 +3,8 @@
 The package represents an n-qubit state as an order-n hypermatrix with
 every mode of length 2 and provides, on top of that representation:
 
-* multilinear algebra (outer products, multilinear matrix
-  multiplication, k-mode unfoldings, generalized transposes);
+* multilinear algebra (multilinear matrix multiplication and
+  generalized transposes);
 * a closed-form higher-order SVD for qubit tensors, whose per-mode
   singular values are local-unitary invariants, with a three-valued
   equivalence test built on them;
@@ -34,7 +34,6 @@ from .hosvd import (
     mode_svals,
 )
 from .hyperdet import (
-    PermutationWord,
     SignString,
     AntidiagonalReport,
     chi,
@@ -52,7 +51,6 @@ from .hyperdet import (
 from .states import (
     QubitState,
     apply_local_unitaries,
-    format_ket,
     hypermatrix_to_state,
     n_tangle,
     parse_ket,
@@ -66,18 +64,10 @@ from .states import (
 from .tensor import (
     Hypermatrix,
     ModePermutation,
-    allclose,
-    conjugate,
-    frobenius_inner,
     frobenius_norm,
-    k_mode_fold,
-    k_mode_unfold,
-    matrix_from_json,
     matrix_to_json,
     mode_permute,
     multilinear_multiply,
-    outer_product,
-    tensor_from_json,
     tensor_to_json,
 )
 

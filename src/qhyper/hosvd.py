@@ -43,7 +43,6 @@ from .errors import DimensionMismatchError, ValidationError
 from .tensor import (
     Hypermatrix,
     frobenius_norm,
-    k_mode_unfold,
     mode_permute,
     multilinear_multiply,
 )
@@ -121,10 +120,12 @@ def mode_factor(H: Hypermatrix, k: int):
     the identity by convention.
     """
     _require_qubit_mode(H, k)
-    M = k_mode_unfold(H, k)
-    a = float(np.vdot(M[0], M[0]).real)
-    b = float(np.vdot(M[1], M[1]).real)
-    c = complex(np.vdot(M[1], M[0]))  # G_01 = row0 . conj(row1)
+    # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves
+    # of this view, in another column order, which G does not depend on.
+    X = H.data.reshape(math.prod(H.dims[: k - 1]), 2, -1)
+    a = float(np.vdot(X[:, 0], X[:, 0]).real)
+    b = float(np.vdot(X[:, 1], X[:, 1]).real)
+    c = complex(np.vdot(X[:, 1], X[:, 0]))  # G_01 = row0 . conj(row1)
     d = a - b
     s = a + b
     r = math.hypot(d, 2.0 * abs(c))

@@ -41,7 +41,6 @@ __all__ = [
     "DENSE_CAP_N",
     "TERM_CAP",
     "SignString",
-    "PermutationWord",
     "chi",
     "sign_string_ent",
     "sign_string_sigma",
@@ -59,6 +58,7 @@ __all__ = [
 MAX_SIGN_N = 13  # sign strings up to length 4^13
 DENSE_CAP_N = 7  # dense 4^n x 4^n matrices up to n = 7
 TERM_CAP = 10**7  # hard cap on enumerated permutation tuples
+_CHI_CHUNK = 1 << 22  # popcount chunk length in chi_signs
 
 _P_BLOCK = np.array([1, -1, -1, 1], dtype=np.int8)
 _N_BLOCK = -_P_BLOCK
@@ -141,7 +141,7 @@ def sign_string_sigma(n: int) -> SignString:
     return SignString(signs=s, n=n, kind="sigma")
 
 
-def chi_signs(n: int, chunk: int = 1 << 22) -> np.ndarray:
+def chi_signs(n: int) -> np.ndarray:
     """chi evaluated on all 2n-bit strings in lexicographic order.
 
     Computed directly from popcounts, independent of the doubling
@@ -150,8 +150,8 @@ def chi_signs(n: int, chunk: int = 1 << 22) -> np.ndarray:
     n = _check_sign_n(n)
     size = 4**n
     out = np.empty(size, dtype=np.int8)
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
+    for start in range(0, size, _CHI_CHUNK):
+        stop = min(start + _CHI_CHUNK, size)
         idx = np.arange(start, stop, dtype=np.uint64)
         ones = np.bitwise_count(idx).astype(np.int8)
         out[start:stop] = 1 - 2 * (ones & 1)
@@ -271,36 +271,26 @@ def fact1_position(k: int, length: int) -> int:
     return 2 ** (k - 1) + 1
 
 
-@dataclass(frozen=True)
-class PermutationWord:
-    """A permutation of 0..m-1 with its parity sign."""
-
-    images: tuple
-    parity: int
-
-    @classmethod
-    def from_images(cls, images) -> "PermutationWord":
-        images = tuple(int(i) for i in images)
-        m = len(images)
-        if sorted(images) != list(range(m)):
-            raise ValidationError(f"not a permutation of 0..{m - 1}: {images}")
-        seen = [False] * m
-        transpositions = 0
-        for start in range(m):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = images[j]
-                length += 1
-            transpositions += length - 1
-        return cls(images=images, parity=-1 if transpositions % 2 else 1)
+def _parity(images):
+    """Sign of the permutation j -> images[j] of 0..m-1, from its cycles."""
+    seen = [False] * len(images)
+    transpositions = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        transpositions += length - 1
+    return -1 if transpositions % 2 else 1
 
 
 def _perm_words(m):
-    return [PermutationWord.from_images(p) for p in itertools.permutations(range(m))]
+    """``(images, parity)`` for every permutation of 0..m-1."""
+    return [(p, _parity(p)) for p in itertools.permutations(range(m))]
 
 
 def _cuboid_side(H, cap_side=3):
@@ -313,7 +303,7 @@ def _cuboid_side(H, cap_side=3):
     return m
 
 
-def _perm_sum(H, pinned, term_cap):
+def _perm_sum(H, pinned):
     """Sum over tuples (s_1, ..., s_N) in S_m^N of the signed products
     sgn(s_1) ... sgn(s_N) * prod_j H_{s_1(j) ... s_N(j)}, with s_1 fixed
     to the identity when ``pinned``.  No 1/m! prefactor."""
@@ -321,10 +311,10 @@ def _perm_sum(H, pinned, term_cap):
     N = H.order
     words = _perm_words(m)
     free = N - 1 if pinned else N
-    if len(words) ** free > term_cap:
+    if len(words) ** free > TERM_CAP:
         raise SizeCapError(
             f"(m!)^{'(N-1)' if pinned else 'N'} = {len(words) ** free} "
-            f"exceeds the term cap {term_cap}"
+            f"exceeds the term cap {TERM_CAP}"
         )
     # itertools.permutations yields the identity first.
     first = words[:1] if pinned else words
@@ -332,28 +322,28 @@ def _perm_sum(H, pinned, term_cap):
     total = 0.0 + 0.0j
     for combo in itertools.product(first, *[words] * (N - 1)):
         sign = 1
-        for w in combo:
-            sign *= w.parity
+        for _, parity in combo:
+            sign *= parity
         prod = 1.0 + 0.0j
         for j in range(m):
-            prod *= data[tuple(w.images[j] for w in combo)]
+            prod *= data[tuple(images[j] for images, _ in combo)]
         total += sign * prod
     return total
 
 
-def hdet_general(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
+def hdet_general(H: Hypermatrix) -> complex:
     """Combinatorial hyperdeterminant by full S_m^N enumeration.
 
     Zero for odd order (pairing the sum over a tuple with the tuple whose
     first permutation is composed with a fixed transposition flips the
     total sign).  The enumeration size (m!)^N must stay within
-    ``term_cap``.
+    ``TERM_CAP``.
     """
-    total = _perm_sum(H, False, term_cap)
+    total = _perm_sum(H, False)
     return complex(total / math.factorial(H.dims[0]))
 
 
-def hdet_reduced(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
+def hdet_reduced(H: Hypermatrix) -> complex:
     """Hyperdeterminant of an even-order cuboid with the first
     permutation fixed to the identity and no 1/m! prefactor.
 
@@ -361,7 +351,7 @@ def hdet_reduced(H: Hypermatrix, *, term_cap: int = TERM_CAP) -> complex:
     """
     if H.order % 2:
         raise ValidationError(f"defined for even order only, got order {H.order}")
-    return complex(_perm_sum(H, True, term_cap))
+    return complex(_perm_sum(H, True))
 
 
 def hdet_fast(state) -> complex:

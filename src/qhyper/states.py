@@ -15,8 +15,8 @@ Ket expressions follow the grammar
            | '(' decimal ('+' | '-') decimal 'i' ')'
 
 with optional whitespace between tokens.  Repeated basis labels are
-summed.  Decimals may carry an exponent so that printed states parse
-back exactly.
+summed.  Decimals may carry an exponent so that amplitudes printed at
+17 significant digits parse back exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "PARSE_NORM_SLACK",
     "QubitState",
     "parse_ket",
-    "format_ket",
     "state_to_hypermatrix",
     "hypermatrix_to_state",
     "state_to_json",
@@ -251,24 +250,6 @@ def _unit_vector(vec):
         vec = vec / peak
         sq = float(np.vdot(vec, vec).real)
     return vec / math.sqrt(sq)
-
-
-def format_ket(state: QubitState) -> str:
-    """Render a state as a ket expression that parses back exactly.
-
-    Every nonzero amplitude becomes one ``(re+imi)|bits>`` term with
-    17-significant-digit components.
-    """
-    n = state.num_qubits
-    parts = []
-    for j, z in enumerate(state.amplitudes):
-        if z == 0:
-            continue
-        re_s = format(z.real, ".17g")
-        im_s = format(abs(z.imag), ".17g")
-        op = "-" if z.imag < 0 else "+"
-        parts.append(f"({re_s}{op}{im_s}i)|{j:0{n}b}>")
-    return " + ".join(parts)
 
 
 def state_to_hypermatrix(state: QubitState) -> Hypermatrix:

@@ -4,26 +4,19 @@ An order-N hypermatrix is an element of C^{n_1 x ... x n_N} stored as an
 immutable, row-major complex array.  Modes are numbered 1..N in every
 public signature; zero-based indexing is an implementation detail.
 
-The layout conventions are load-bearing and fixed by the k-mode
-unfolding: entry (i_1, ..., i_N) of the unfolding along mode k sits in
-row i_k and column
+The layout convention is load-bearing: mode k is axis k-1 of the
+row-major array, so entry (i_1, ..., i_N), with zero-based indices,
+sits at flat position
 
-    j = sum_{l != k} i_l * prod_{m < l, m != k} n_m
+    sum_k i_k * prod_{m > k} n_m
 
-with all indices zero-based, so the first non-k mode varies fastest
-along a row.  For a 2x2x2 hypermatrix H this gives
-
-    H_(1) = [[H_111, H_121, H_112, H_122],
-             [H_211, H_221, H_212, H_222]]
-
-in one-based subscript notation.
+and the last mode varies fastest.  For a qubit hypermatrix this makes
+qubit 1 the most significant bit of the basis label.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,19 +27,11 @@ __all__ = [
     "MAX_MODE_LENGTH",
     "Hypermatrix",
     "ModePermutation",
-    "outer_product",
     "multilinear_multiply",
-    "k_mode_unfold",
-    "k_mode_fold",
     "mode_permute",
-    "conjugate",
-    "frobenius_inner",
     "frobenius_norm",
-    "allclose",
     "tensor_to_json",
-    "tensor_from_json",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 MAX_ORDER = 16
@@ -117,20 +102,6 @@ def _validated(arr):
     return arr
 
 
-def _check_mode(k, order):
-    if not 1 <= k <= order:
-        raise DimensionMismatchError(f"mode {k} out of range 1..{order}")
-
-
-def _as_vector(v, which):
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{which} must be a nonempty vector")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{which} has non-finite entries")
-    return arr
-
-
 def _as_matrix(A, which):
     arr = np.asarray(A, dtype=np.complex128)
     if arr.ndim != 2:
@@ -138,18 +109,6 @@ def _as_matrix(A, which):
     if not np.isfinite(arr).all():
         raise ValidationError(f"{which} has non-finite entries")
     return arr
-
-
-def outer_product(vectors) -> Hypermatrix:
-    """Rank-one hypermatrix u_1 o u_2 o ... o u_N from N vectors.
-
-    Entry (i_1, ..., i_N) equals the product of the i_k-th component of
-    each u_k.
-    """
-    vecs = [_as_vector(v, f"vector {k}") for k, v in enumerate(vectors, start=1)]
-    if not vecs:
-        raise ValidationError("outer_product needs at least one vector")
-    return Hypermatrix._wrap(reduce(np.multiply.outer, vecs))
 
 
 def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
@@ -191,43 +150,6 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     return Hypermatrix._wrap(out)
 
 
-def k_mode_unfold(H: Hypermatrix, k: int) -> np.ndarray:
-    """Unfold H along mode k into an n_k x (prod of other lengths) matrix.
-
-    Columns follow the convention in the module docstring: the first
-    non-k mode varies fastest.
-    """
-    _check_mode(k, H.order)
-    ax = k - 1
-    rest = [i for i in range(H.order) if i != ax]
-    # Reversing the remaining modes before a row-major reshape makes the
-    # lowest remaining mode the fastest-varying column index.
-    arr = np.transpose(H.data, [ax] + rest[::-1])
-    ncols = int(np.prod([H.dims[i] for i in rest], dtype=np.int64)) if rest else 1
-    return arr.reshape(H.dims[ax], ncols).copy()
-
-
-def k_mode_fold(M, k: int, dims) -> Hypermatrix:
-    """Inverse of :func:`k_mode_unfold` for the given target ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    order = len(dims)
-    _check_mode(k, order)
-    arr = _as_matrix(M, "unfolding")
-    ax = k - 1
-    rest = [i for i in range(order) if i != ax]
-    ncols = int(np.prod([dims[i] for i in rest], dtype=np.int64)) if rest else 1
-    if arr.shape != (dims[ax], ncols):
-        raise DimensionMismatchError(
-            f"expected shape {(dims[ax], ncols)} for mode {k} of dims {dims}, got {arr.shape}"
-        )
-    perm = [ax] + rest[::-1]
-    inv = [0] * order
-    for pos, axis in enumerate(perm):
-        inv[axis] = pos
-    cube = arr.reshape([dims[ax]] + [dims[i] for i in rest[::-1]])
-    return Hypermatrix._wrap(np.transpose(cube, inv))
-
-
 @dataclass(frozen=True)
 class ModePermutation:
     """Permutation of the modes 1..N.
@@ -246,29 +168,9 @@ class ModePermutation:
         if sorted(mapping) != list(range(1, len(mapping) + 1)):
             raise ValidationError(f"not a permutation of 1..{len(mapping)}: {mapping}")
 
-    @classmethod
-    def identity(cls, order: int) -> "ModePermutation":
-        return cls(tuple(range(1, order + 1)))
-
     @property
     def order(self) -> int:
         return len(self.mapping)
-
-    def inverse(self) -> "ModePermutation":
-        inv = [0] * self.order
-        for j, p in enumerate(self.mapping, start=1):
-            inv[p - 1] = j
-        return ModePermutation(tuple(inv))
-
-    def compose(self, other: "ModePermutation") -> "ModePermutation":
-        """Permutation equivalent to applying ``self`` first, then ``other``.
-
-        ``mode_permute(mode_permute(H, self), other)`` equals
-        ``mode_permute(H, self.compose(other))``.
-        """
-        if other.order != self.order:
-            raise DimensionMismatchError("permutation orders differ")
-        return ModePermutation(tuple(self.mapping[q - 1] for q in other.mapping))
 
 
 def mode_permute(H: Hypermatrix, perm) -> Hypermatrix:
@@ -288,28 +190,9 @@ def mode_permute(H: Hypermatrix, perm) -> Hypermatrix:
     return Hypermatrix._wrap(np.transpose(H.data, axes))
 
 
-def conjugate(H: Hypermatrix) -> Hypermatrix:
-    """Entrywise complex conjugate."""
-    return Hypermatrix._wrap(np.conj(H.data))
-
-
-def frobenius_inner(H: Hypermatrix, K: Hypermatrix) -> complex:
-    """Frobenius inner product <H, K> = sum conj(H_i) K_i."""
-    if H.dims != K.dims:
-        raise DimensionMismatchError(f"dims differ: {H.dims} vs {K.dims}")
-    return complex(np.vdot(H.data, K.data))
-
-
 def frobenius_norm(H: Hypermatrix) -> float:
     """Frobenius norm, the square root of sum |H_i|^2."""
     return float(np.linalg.norm(H.data.reshape(-1)))
-
-
-def allclose(H: Hypermatrix, K: Hypermatrix, tol: float = 1e-10) -> bool:
-    """Entrywise equality within absolute tolerance ``tol``."""
-    if H.dims != K.dims:
-        return False
-    return bool(np.max(np.abs(H.data - K.data)) <= tol)
 
 
 def tensor_to_json(H: Hypermatrix) -> dict:
@@ -320,30 +203,14 @@ def tensor_to_json(H: Hypermatrix) -> dict:
     return {"dims": list(H.dims), "entries": _complex_to_json(H.data)}
 
 
-def tensor_from_json(obj) -> Hypermatrix:
-    dims = obj.get("dims") if isinstance(obj, dict) else None
-    if not isinstance(dims, list):
-        raise ValidationError("tensor JSON needs a 'dims' list and 'entries'")
-    dims = [_json_int(d, "dims") for d in dims]
-    entries = _complex_from_json(obj.get("entries"), math.prod(dims))
-    return Hypermatrix(entries.reshape(dims))
-
-
 def matrix_to_json(M) -> dict:
     """JSON form: ``{"rows": r, "cols": c, "entries": [...]}`` row-major."""
     arr = _as_matrix(M, "matrix")
     return {"rows": arr.shape[0], "cols": arr.shape[1], "entries": _complex_to_json(arr)}
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValidationError("matrix JSON needs 'rows', 'cols' and 'entries'")
-    rows, cols = _json_int(obj.get("rows"), "rows"), _json_int(obj.get("cols"), "cols")
-    return _complex_from_json(obj.get("entries"), rows * cols).reshape(rows, cols)
-
-
 def _json_int(value, what) -> int:
-    """A non-negative integer header field (dims, rows, num_qubits)."""
+    """A non-negative integer header field such as ``num_qubits``."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):

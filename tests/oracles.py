@@ -4,7 +4,9 @@ Everything here is written directly from the defining formulas with
 naive loops or well-tested numpy routines (svd, eigvalsh, kron) and
 shares no code with the package: permutation parity is counted by
 inversions instead of cycles, unfoldings use the explicit column-index
-formula, the spin flip builds the actual complex Kronecker power.
+formula, the spin flip builds the actual complex Kronecker power, and
+outer products, ket strings, ``{"re", "im"}`` entries and mode
+mappings are built by plain loops.
 The one exception is :func:`lu_equivalence_recompute`, a reference for
 the relabeling search only: it decomposes every relabelled copy with
 the package's own HOSVD and canonicalization.
@@ -57,6 +59,48 @@ def unfold_by_formula(data, k):
             col += idx[l] * weight
         out[idx[k - 1], col] = data[idx]
     return out
+
+
+def outer_product(vectors):
+    """u_1 o ... o u_N: entry (i_1, ..., i_N) is the product of u_k[i_k]."""
+    vecs = [np.asarray(v, dtype=complex) for v in vectors]
+    out = np.zeros(tuple(v.size for v in vecs), dtype=complex)
+    for idx in itertools.product(*[range(v.size) for v in vecs]):
+        prod = 1.0 + 0.0j
+        for v, i in zip(vecs, idx):
+            prod *= v[i]
+        out[idx] = prod
+    return out
+
+
+def format_ket(amplitudes):
+    """``(re+imi)|bits> + ...`` over the nonzero amplitudes, 17 digits each."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    width = int(math.log2(amplitudes.size))
+    parts = []
+    for j, z in enumerate(amplitudes):
+        if z != 0:
+            op = "-" if z.imag < 0 else "+"
+            parts.append(f"({z.real:.17g}{op}{abs(z.imag):.17g}i)|{j:0{width}b}>")
+    return " + ".join(parts)
+
+
+def complex_entries(entries):
+    """Complex vector from a list of ``{"re": x, "im": y}`` objects."""
+    return np.array([complex(e["re"], e["im"]) for e in entries])
+
+
+def compose_mapping(p, q):
+    """Mode mapping of relabelling by ``p`` and then by ``q`` (one-based)."""
+    return tuple(p[j - 1] for j in q)
+
+
+def inverse_mapping(p):
+    """Mode mapping that undoes relabelling by ``p`` (one-based)."""
+    inv = [0] * len(p)
+    for j, src in enumerate(p, start=1):
+        inv[src - 1] = j
+    return tuple(inv)
 
 
 def svd_svals(M):

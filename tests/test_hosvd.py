@@ -18,7 +18,6 @@ from qhyper import (
     canonicalize_core,
     frobenius_norm,
     hosvd,
-    k_mode_unfold,
     lu_equivalence,
     lu_fingerprint,
     mode_factor,
@@ -46,7 +45,7 @@ def random_qubit_tensor(rng, order, normalized=True):
 def all_orthogonality_residual(core):
     worst = 0.0
     for k in range(1, core.order + 1):
-        M = k_mode_unfold(core, k)
+        M = oracles.unfold_by_formula(core.data, k)
         G = M @ M.conj().T
         worst = max(worst, float(np.max(np.abs(G - np.diag(np.diag(G))))))
     return worst
@@ -72,7 +71,7 @@ def test_mode_svals_cross_validated(order):
         H = random_qubit_tensor(rng, order)
         for k in range(1, order + 1):
             sv = mode_svals(H, k)
-            M = k_mode_unfold(H, k)
+            M = oracles.unfold_by_formula(H.data, k)
             np.testing.assert_allclose(sv, oracles.svd_svals(M), atol=CROSS_TOL)
             np.testing.assert_allclose(sv, oracles.gram_svals(M), atol=CROSS_TOL)
             assert sv[0] >= sv[1] >= 0.0
@@ -86,11 +85,26 @@ def test_mode_factor_diagonalizes_gram(order):
         for k in range(1, order + 1):
             V, sv = mode_factor(H, k)
             assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= CROSS_TOL
-            M = k_mode_unfold(H, k)
+            M = oracles.unfold_by_formula(H.data, k)
             G = M @ M.conj().T
             D = V.conj().T @ G @ V
             np.testing.assert_allclose(np.diag(D).real, sv**2, atol=CROSS_TOL)
             assert abs(D[0, 1]) <= CROSS_TOL
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2), (3, 2, 4, 2)])
+def test_mode_factor_mixed_dims(dims):
+    # A length-2 mode among modes of other lengths: the rows of the
+    # unfolding must be read with the true leading size, not 2^(k-1).
+    rng = np.random.default_rng(250 + len(dims))
+    H = Hypermatrix(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    for k in (k for k, n in enumerate(dims, start=1) if n == 2):
+        M = oracles.unfold_by_formula(H.data, k)
+        np.testing.assert_allclose(mode_svals(H, k), oracles.svd_svals(M), atol=CROSS_TOL)
+        V, sv = mode_factor(H, k)
+        D = V.conj().T @ (M @ M.conj().T) @ V
+        np.testing.assert_allclose(np.diag(D).real, sv**2, atol=CROSS_TOL)
+        assert abs(D[0, 1]) <= CROSS_TOL
 
 
 def test_mode_factor_branch_stability():
@@ -100,7 +114,7 @@ def test_mode_factor_branch_stability():
     diagonal = Hypermatrix(np.array([[0.8, 0.0], [0.0, 0.6]], dtype=complex))
     for H in (top_heavy, bottom_heavy, diagonal):
         V, sv = mode_factor(H, 1)
-        M = k_mode_unfold(H, 1)
+        M = oracles.unfold_by_formula(H.data, 1)
         np.testing.assert_allclose(sv, oracles.svd_svals(M), atol=CROSS_TOL)
         G = M @ M.conj().T
         np.testing.assert_allclose(G @ V[:, 0], sv[0] ** 2 * V[:, 0], atol=CROSS_TOL)
@@ -136,6 +150,13 @@ def test_mode_factor_returns_read_only_arrays(data):
     assert not sv.flags.writeable
 
 
+def test_mode_factor_rejects_mode_out_of_range():
+    H = Hypermatrix(np.zeros((2, 2)))
+    for k in (0, 3):
+        with pytest.raises(ValidationError):
+            mode_factor(H, k)
+
+
 def test_mode_factor_rejects_long_modes():
     H = Hypermatrix(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
@@ -156,7 +177,7 @@ def test_hosvd_invariants(order):
         assert all_orthogonality_residual(res.core) <= TOL
         for k, sv in enumerate(res.mode_svals, start=1):
             assert sv[0] >= sv[1] >= 0.0
-            slices = k_mode_unfold(res.core, k)
+            slices = oracles.unfold_by_formula(res.core.data, k)
             norms = np.linalg.norm(slices, axis=1)
             np.testing.assert_allclose(norms, sv, atol=TOL)
             # Parseval: squared svals in each mode sum to the squared norm.

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from qhyper import (
     Hypermatrix,
-    PermutationWord,
     SizeCapError,
     ValidationError,
     chi,
@@ -24,7 +23,7 @@ from qhyper import (
     state_to_hypermatrix,
     verify_antidiagonal_identity,
 )
-from qhyper.hyperdet import SignString
+from qhyper.hyperdet import SignString, _parity
 
 TOL = 1e-12
 
@@ -84,10 +83,6 @@ def test_ent_matches_parity_of_ones(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ent_recursion_matches_popcount_formula(n):
     np.testing.assert_array_equal(sign_string_ent(n).signs, chi_signs(n))
-
-
-def test_chi_signs_chunking():
-    np.testing.assert_array_equal(chi_signs(3, chunk=7), chi_signs(3))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -218,7 +213,7 @@ def test_fact1_position_validation():
 
 
 # ---------------------------------------------------------------------------
-# permutation words
+# permutation parity
 
 
 def test_permutation_parity_matches_inversion_count():
@@ -226,15 +221,7 @@ def test_permutation_parity_matches_inversion_count():
 
     for m in (3, 4):
         for images in itertools.permutations(range(m)):
-            word = PermutationWord.from_images(images)
-            assert word.parity == oracles.inversion_parity(images)
-
-
-def test_permutation_word_validation():
-    with pytest.raises(ValidationError):
-        PermutationWord.from_images((0, 0, 1))
-    with pytest.raises(ValidationError):
-        PermutationWord.from_images((1, 2, 3))
+            assert _parity(images) == oracles.inversion_parity(images)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +257,7 @@ def test_hdet_general_caps():
     with pytest.raises(SizeCapError):
         hdet_general(Hypermatrix(np.zeros((3,) * 9)))  # 6^9 tuples
     with pytest.raises(SizeCapError):
-        hdet_general(random_cuboid(2, 4, 31), term_cap=10)
+        hdet_reduced(Hypermatrix(np.zeros((3,) * 10)))  # (3!)^9 = 10,077,696
 
 
 def test_hdet_reduced_equals_general():

@@ -11,18 +11,10 @@ from qhyper import (
     Hypermatrix,
     ModePermutation,
     ValidationError,
-    allclose,
-    conjugate,
-    frobenius_inner,
     frobenius_norm,
-    k_mode_fold,
-    k_mode_unfold,
-    matrix_from_json,
     matrix_to_json,
     mode_permute,
     multilinear_multiply,
-    outer_product,
-    tensor_from_json,
     tensor_to_json,
 )
 
@@ -85,37 +77,6 @@ def test_nonfinite_rejected():
 
 
 # ---------------------------------------------------------------------------
-# outer product
-
-
-def test_outer_product_entry_formula():
-    rng = np.random.default_rng(11)
-    vecs = [
-        rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 2)
-    ]
-    H = outer_product(vecs)
-    assert H.dims == (2, 3, 2)
-    for i in range(2):
-        for j in range(3):
-            for k in range(2):
-                expect = vecs[0][i] * vecs[1][j] * vecs[2][k]
-                assert abs(H.data[i, j, k] - expect) <= TOL
-
-
-def test_outer_product_single_vector():
-    H = outer_product([np.array([1.0, 2.0j])])
-    assert H.dims == (2,)
-    np.testing.assert_allclose(H.data, [1.0, 2.0j])
-
-
-def test_outer_product_validation():
-    with pytest.raises(ValidationError):
-        outer_product([])
-    with pytest.raises(ValidationError):
-        outer_product([np.zeros((2, 2))])
-
-
-# ---------------------------------------------------------------------------
 # multilinear multiplication
 
 
@@ -169,9 +130,9 @@ def test_multilinear_outer_product_compatibility():
     rng = np.random.default_rng(12)
     vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
-    lhs = multilinear_multiply(mats, outer_product(vecs))
-    rhs = outer_product([A @ u for A, u in zip(mats, vecs)])
-    np.testing.assert_allclose(lhs.data, rhs.data, atol=TOL)
+    lhs = multilinear_multiply(mats, Hypermatrix(oracles.outer_product(vecs)))
+    rhs = oracles.outer_product([A @ u for A, u in zip(mats, vecs)])
+    np.testing.assert_allclose(lhs.data, rhs, atol=TOL)
 
 
 def test_multilinear_shape_errors():
@@ -180,61 +141,6 @@ def test_multilinear_shape_errors():
         multilinear_multiply([np.eye(2)] * 2, H)
     with pytest.raises(DimensionMismatchError, match="mode 2"):
         multilinear_multiply([np.eye(2), np.zeros((2, 3)), np.eye(2)], H)
-
-
-# ---------------------------------------------------------------------------
-# unfolding and folding
-
-
-def test_unfold_fixed_2x2x2_layout():
-    # Entry (i1,i2,i3) encoded as the one-based digits i1 i2 i3.
-    data = np.zeros((2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                data[i, j, k] = 100 * (i + 1) + 10 * (j + 1) + (k + 1)
-    M = k_mode_unfold(Hypermatrix(data), 1)
-    expect = np.array(
-        [
-            [111, 121, 112, 122],
-            [211, 221, 212, 222],
-        ],
-        dtype=complex,
-    )
-    np.testing.assert_array_equal(M, expect)
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4, 2), (5,)])
-def test_unfold_matches_index_formula(dims):
-    rng = np.random.default_rng(13)
-    H = random_hyper(rng, dims)
-    for k in range(1, len(dims) + 1):
-        got = k_mode_unfold(H, k)
-        expect = oracles.unfold_by_formula(H.data, k)
-        assert got.shape == expect.shape
-        np.testing.assert_allclose(got, expect, atol=0)
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4)])
-def test_fold_inverts_unfold(dims):
-    rng = np.random.default_rng(14)
-    H = random_hyper(rng, dims)
-    for k in range(1, len(dims) + 1):
-        back = k_mode_fold(k_mode_unfold(H, k), k, dims)
-        np.testing.assert_allclose(back.data, H.data, atol=0)
-
-
-def test_unfold_mode_out_of_range():
-    H = Hypermatrix(np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatchError):
-        k_mode_unfold(H, 0)
-    with pytest.raises(DimensionMismatchError):
-        k_mode_unfold(H, 3)
-
-
-def test_fold_shape_validation():
-    with pytest.raises(DimensionMismatchError):
-        k_mode_fold(np.zeros((2, 3)), 1, (2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +164,7 @@ def test_mode_permute_entry_relation():
 def test_mode_permute_identity():
     rng = np.random.default_rng(16)
     H = random_hyper(rng, (2, 2, 2))
-    out = mode_permute(H, ModePermutation.identity(3))
+    out = mode_permute(H, ModePermutation((1, 2, 3)))
     np.testing.assert_array_equal(out.data, H.data)
 
 
@@ -268,7 +174,7 @@ def test_mode_permute_composition_law():
     p = ModePermutation((2, 4, 1, 3))
     q = ModePermutation((3, 1, 4, 2))
     lhs = mode_permute(mode_permute(H, p), q)
-    rhs = mode_permute(H, p.compose(q))
+    rhs = mode_permute(H, oracles.compose_mapping(p.mapping, q.mapping))
     np.testing.assert_array_equal(lhs.data, rhs.data)
 
 
@@ -276,7 +182,7 @@ def test_mode_permute_inverse_roundtrip():
     rng = np.random.default_rng(18)
     H = random_hyper(rng, (2, 3, 2))
     p = ModePermutation((2, 3, 1))
-    back = mode_permute(mode_permute(H, p), p.inverse())
+    back = mode_permute(mode_permute(H, p), oracles.inverse_mapping(p.mapping))
     np.testing.assert_array_equal(back.data, H.data)
 
 
@@ -301,38 +207,13 @@ def test_mode_permutation_validation():
 
 
 # ---------------------------------------------------------------------------
-# inner products, norms, helpers
+# norms
 
 
-def test_frobenius_inner_matches_loop():
-    rng = np.random.default_rng(20)
-    H = random_hyper(rng, (2, 3))
-    K = random_hyper(rng, (2, 3))
-    manual = sum(
-        np.conj(H.data[i, j]) * K.data[i, j] for i in range(2) for j in range(3)
-    )
-    assert abs(frobenius_inner(H, K) - manual) <= TOL
-    assert abs(frobenius_inner(H, K) - np.conj(frobenius_inner(K, H))) <= TOL
-
-
-def test_frobenius_norm_and_conjugate():
+def test_frobenius_norm_matches_inner_product():
     rng = np.random.default_rng(21)
     H = random_hyper(rng, (2, 2, 2))
-    assert abs(frobenius_norm(H) ** 2 - frobenius_inner(H, H).real) <= 1e-10
-    np.testing.assert_array_equal(conjugate(H).data, np.conj(H.data))
-
-
-def test_frobenius_inner_dims_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        frobenius_inner(Hypermatrix(np.zeros((2, 2))), Hypermatrix(np.zeros((2, 3))))
-
-
-def test_allclose_tolerance():
-    H = Hypermatrix(np.zeros((2, 2)))
-    K = Hypermatrix(np.full((2, 2), 1e-11))
-    assert allclose(H, K, tol=1e-10)
-    assert not allclose(H, K, tol=1e-12)
-    assert not allclose(H, Hypermatrix(np.zeros((2, 2, 2))))
+    assert abs(frobenius_norm(H) ** 2 - np.vdot(H.data, H.data).real) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +224,10 @@ def test_tensor_json_roundtrip_exact():
     rng = np.random.default_rng(22)
     signed_zero = Hypermatrix([[complex(-0.0, 1.0), complex(0.0, -0.0)]])
     for H in (random_hyper(rng, (2, 3, 2)), signed_zero):
-        back = tensor_from_json(json.loads(json.dumps(tensor_to_json(H))))
+        obj = json.loads(json.dumps(tensor_to_json(H)))
+        back = oracles.complex_entries(obj["entries"]).reshape(obj["dims"])
         # byte comparison: assert_array_equal treats -0.0 and 0.0 as equal
-        assert back.dims == H.dims and back.data.tobytes() == H.data.tobytes()
-
-
-def test_tensor_json_validation():
-    with pytest.raises(ValidationError):
-        tensor_from_json({"dims": [2]})
-    with pytest.raises(ValidationError):
-        tensor_from_json({"dims": [2, 2], "entries": [{"re": 1.0, "im": 0.0}]})
-    with pytest.raises(ValidationError):
-        tensor_from_json({"dims": [2], "entries": [{"re": 1.0}, {"re": 0.0}]})
+        assert back.shape == H.dims and back.tobytes() == H.data.tobytes()
 
 
 def test_matrix_json_roundtrip():
@@ -362,19 +235,6 @@ def test_matrix_json_roundtrip():
     M = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     obj = matrix_to_json(M)
     assert obj["rows"] == 2 and obj["cols"] == 4
-    np.testing.assert_array_equal(matrix_from_json(obj), M)
+    back = oracles.complex_entries(obj["entries"]).reshape(obj["rows"], obj["cols"])
+    np.testing.assert_array_equal(back, M)
 
-
-def test_matrix_json_validation():
-    with pytest.raises(ValidationError):
-        matrix_from_json({"rows": 2, "cols": 2, "entries": []})
-
-
-def test_matrix_json_rejects_malformed_entries():
-    one = {"re": 1.0, "im": 0.0}
-    with pytest.raises(ValidationError):
-        matrix_from_json({"rows": 1, "cols": 2, "entries": [one, 1.0]})
-    with pytest.raises(ValidationError):
-        matrix_from_json({"rows": 1, "cols": 2, "entries": [one, {"re": 1.0}]})
-    with pytest.raises(ValidationError):
-        matrix_from_json({"rows": "x", "cols": 2, "entries": [one, one]})
