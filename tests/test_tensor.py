@@ -17,6 +17,7 @@ from qhyper import (
     multilinear_multiply,
     tensor_to_json,
 )
+from qhyper.tensor import _complex_from_json, _json_int
 
 TOL = 1e-12
 
@@ -230,6 +231,16 @@ def test_tensor_json_roundtrip_exact():
         assert back.shape == H.dims and back.tobytes() == H.data.tobytes()
 
 
+def test_tensor_json_validation():
+    obj = tensor_to_json(Hypermatrix(np.eye(2)))
+    with pytest.raises(ValidationError):
+        _complex_from_json(None, 4)
+    with pytest.raises(ValidationError):
+        _complex_from_json(obj["entries"][:1], 4)
+    with pytest.raises(ValidationError):
+        _complex_from_json([{"re": 1.0}, {"re": 0.0}], 2)
+
+
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(23)
     M = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -238,3 +249,17 @@ def test_matrix_json_roundtrip():
     back = oracles.complex_entries(obj["entries"]).reshape(obj["rows"], obj["cols"])
     np.testing.assert_array_equal(back, M)
 
+
+def test_matrix_json_validation():
+    with pytest.raises(ValidationError):
+        _complex_from_json([], 2 * 2)
+
+
+def test_matrix_json_rejects_malformed_entries():
+    one = {"re": 1.0, "im": 0.0}
+    with pytest.raises(ValidationError):
+        _complex_from_json([one, 1.0], 1 * 2)
+    with pytest.raises(ValidationError):
+        _complex_from_json([one, {"re": 1.0}], 1 * 2)
+    with pytest.raises(ValidationError):
+        _json_int("x", "rows")
