@@ -59,20 +59,34 @@ def _emit(payload, lines, out_path=None):
         fh.write("\n")
 
 
-def _load_state(path: str, *, renormalize=False, check_norm=True) -> states.QubitState:
+def _load_state(
+    path: str, *, renormalize=False, check_norm=True, order_cap=False
+) -> states.QubitState:
     """Read ket text, or state JSON when the file starts with '{'.
 
     ``renormalize`` rescales any nonzero state to unit norm and
     ``check_norm=False`` skips the norm check, for either format.
+    ``order_cap`` checks the hypermatrix order cap on the width of the
+    first ket, or on ``num_qubits``, before any amplitude is allocated.
     """
     with open(path) as fh:
         raw = fh.read()
     if not raw.lstrip().startswith("{"):
+        first = order_cap and states._KET_RE.search(raw)
+        if first:
+            states._check_order_cap(len(first.group(1)))
         return states.parse_ket(raw, renormalize=renormalize, check_norm=check_norm)
-    state = states.state_from_json(json.loads(raw), check_norm=check_norm and not renormalize)
+    obj = json.loads(raw)
+    if order_cap and isinstance(obj, dict):
+        states._check_order_cap(tensor._json_int(obj.get("num_qubits"), "num_qubits"))
+    state = states.state_from_json(obj, check_norm=check_norm and not renormalize)
     if renormalize:
         state = states.QubitState(states._unit_vector(state.amplitudes))
     return state
+
+
+def _load_hypermatrix(path: str) -> tensor.Hypermatrix:
+    return states.state_to_hypermatrix(_load_state(path, order_cap=True))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +179,7 @@ def _cmd_parse(args):
 
 
 def _cmd_svals(args):
-    H = states.state_to_hypermatrix(_load_state(args.state))
+    H = _load_hypermatrix(args.state)
     if args.mode is not None:
         sv = mode_svals(H, args.mode)
         return {"mode": args.mode, "svals": sv.tolist()}, _spectrum_lines([sv], args.mode)
@@ -174,7 +188,7 @@ def _cmd_svals(args):
 
 
 def _cmd_hosvd(args):
-    res = hosvd(states.state_to_hypermatrix(_load_state(args.state)))
+    res = hosvd(_load_hypermatrix(args.state))
     payload = {
         "mode_svals": [sv.tolist() for sv in res.mode_svals],
         "factors": [tensor.matrix_to_json(V) for V in res.factors],
@@ -195,9 +209,7 @@ def _cmd_lu_equiv(args):
             tol = float(raw)
         except ValueError:
             raise ValidationError(f"QHYPER_TOL must be a number, got {raw!r}") from None
-    A = states.state_to_hypermatrix(_load_state(args.a))
-    B = states.state_to_hypermatrix(_load_state(args.b))
-    verdict = lu_equivalence(A, B, tol=tol)
+    verdict = lu_equivalence(_load_hypermatrix(args.a), _load_hypermatrix(args.b), tol=tol)
     cert = None if verdict.certificate is None else asdict(verdict.certificate)
     payload = {"verdict": verdict.tag.value, "certificate": cert, "detail": verdict.detail}
     line = verdict.tag.value
@@ -213,24 +225,21 @@ def _cmd_lu_equiv(args):
 
 
 def _cmd_permute(args):
-    state = _load_state(args.state)
+    H = _load_hypermatrix(args.state)
     try:
         mapping = tuple(int(x) for x in args.perm.split(","))
     except ValueError:
         raise ValidationError(f"--perm must be a comma list of integers, got {args.perm!r}")
-    H = states.state_to_hypermatrix(state)
     out = states.hypermatrix_to_state(tensor.mode_permute(H, mapping))
     return states.state_to_json(out), None
 
 
 def _cmd_hdet(args):
-    state = _load_state(args.state)
     if args.method == "fast":
-        value = hyperdet.hdet_fast(state)
+        value = hyperdet.hdet_fast(_load_state(args.state))
     else:
-        H = states.state_to_hypermatrix(state)
         fn = hyperdet.hdet_reduced if args.method == "reduced" else hyperdet.hdet_general
-        value = fn(H)
+        value = fn(_load_hypermatrix(args.state))
     payload = {"re": value.real, "im": value.imag, "method": args.method}
     return payload, [f"hdet ({args.method}) = {_fmt(value.real)} {_fmt(value.imag)}i"]
 

@@ -32,6 +32,7 @@ alignment exists.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -211,7 +212,7 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
 
     Returns a new :class:`HosvdResult`.
     """
-    core = np.array(result.core.data)
+    core = result.core.data
     n = core.ndim
     flat = core.reshape(-1)
     mags = np.abs(flat)
@@ -225,9 +226,11 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     support = np.flatnonzero(keep)
     support = support[np.argsort(-mags[support])]
     # A new tie group starts wherever the magnitude drops by more than
-    # ``negligible``; within a group the smaller index comes first.
+    # ``negligible``; within a group the smaller index comes first.  The
+    # group numbers are non-decreasing and every index is below 2^n, so
+    # one key orders by group, then by index.
     group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
-    support = support[np.lexsort((support, group))]
+    support = support[np.argsort(group << n | support)]
     anchor = int(support[0])
     support = support[1:]
     g = -cmath.phase(flat[anchor])
@@ -256,20 +259,15 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
         else:
             break
 
-    canon = core
-    new_factors = []
+    phases = np.ones((n, 2), dtype=np.complex128)
     for k in range(n):
-        pk = np.ones(2, dtype=np.complex128)
-        pk[1 - (anchor >> (n - 1 - k) & 1)] = cmath.exp(1j * rho[k])
-        if k == 0:
-            pk = pk * cmath.exp(1j * g)
-        shape = [1] * n
-        shape[k] = 2
-        canon = canon * pk.reshape(shape)
-        new_factors.append(result.factors[k] * np.conj(pk)[None, :])
+        phases[k, 1 - (anchor >> (n - 1 - k) & 1)] = cmath.exp(1j * rho[k])
+    phases[0] *= cmath.exp(1j * g)
+    # The outer product of the per-mode phases has the core's shape, so
+    # the core is multiplied once.
     return HosvdResult(
-        factors=tuple(new_factors),
-        core=Hypermatrix(canon),
+        factors=tuple(V * np.conj(pk)[None, :] for V, pk in zip(result.factors, phases)),
+        core=Hypermatrix._wrap(core * functools.reduce(np.multiply.outer, phases)),
         mode_svals=result.mode_svals,
     )
 
@@ -304,10 +302,9 @@ def _alignment_candidates(fa, fb, tol):
     at once when some mode of B matches no spectrum of A.
     """
     N = len(fa)
-    options = [
-        [j for j in range(N) if float(np.max(np.abs(fa[j] - fb[k]))) <= tol]
-        for k in range(N)
-    ]
+    # match[k, j]: mode k of B has the spectrum of mode j of A.
+    match = np.abs(np.asarray(fb)[:, None] - np.asarray(fa)[None]).max(axis=2) <= tol
+    options = [np.flatnonzero(row).tolist() for row in match]
     if not all(options):
         return
 

@@ -252,6 +252,14 @@ def _unit_vector(vec):
     return vec / math.sqrt(sq)
 
 
+def _check_order_cap(n):
+    """Raise SizeCapError when n qubits exceed the hypermatrix order cap."""
+    if n > MAX_ORDER:
+        raise SizeCapError(
+            f"hypermatrices are capped at order {MAX_ORDER}, got {n} qubits"
+        )
+
+
 def state_to_hypermatrix(state: QubitState) -> Hypermatrix:
     """Row-major reshape of the amplitudes into an order-n qubit cube.
 
@@ -261,10 +269,7 @@ def state_to_hypermatrix(state: QubitState) -> Hypermatrix:
         When the state has more than ``tensor.MAX_ORDER`` qubits.
     """
     n = state.num_qubits
-    if n > MAX_ORDER:
-        raise SizeCapError(
-            f"hypermatrices are capped at order {MAX_ORDER}, got {n} qubits"
-        )
+    _check_order_cap(n)
     return Hypermatrix(state.amplitudes.reshape((2,) * n))
 
 

@@ -16,6 +16,7 @@ qubit 1 the most significant bit of the basis label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,12 +143,14 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
             raise DimensionMismatchError(
                 f"matrix for mode {k + 1} has {A.shape[1]} columns, mode length is {H.dims[k]}"
             )
-    out = H.data
+    # Step k is A_k @ X with X a contiguous (n_k, rest) matrix.  New lengths pile up in
+    # front in reverse, so mode k+1 moves to the front in runs of n_{k+2}...n_N entries.
+    out, done = H.data, 1  # done = m_1 ... m_k
     for k, A in enumerate(mats):
-        # Contract A with mode k; tensordot puts the new index first.
-        out = np.tensordot(A, out, axes=(1, k))
-        out = np.moveaxis(out, 0, k)
-    return Hypermatrix._wrap(out)
+        X = out.reshape(done, H.dims[k], math.prod(H.dims[k + 1 :])).swapaxes(0, 1)
+        out = A @ X.reshape(H.dims[k], -1)
+        done *= A.shape[0]
+    return Hypermatrix._wrap(out.reshape([A.shape[0] for A in reversed(mats)]).transpose())
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -392,6 +393,53 @@ def test_hypermatrix_order_cap_exit_code(tmp_path, capsys, command):
     path = put(tmp_path, "w17.ket", "|" + "0" * 17 + ">")
     assert main([command, "--state", path]) == 4
     assert "size cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["svals", "--state"],
+        ["hosvd", "--state"],
+        ["lu-equiv", "--b", "{path}", "--a"],
+        ["permute", "--perm", "1", "--state"],
+        ["hdet", "--method", "reduced", "--state"],
+        ["hdet", "--method", "general", "--state"],
+    ],
+    ids=["svals", "hosvd", "lu-equiv", "permute", "hdet-reduced", "hdet-general"],
+)
+@pytest.mark.parametrize(
+    "name, text",
+    [("w22.ket", "|" + "0" * 22 + ">"), ("w22.json", '{"num_qubits": 22, "amplitudes": []}')],
+    ids=["ket", "json"],
+)
+def test_hypermatrix_order_cap_checked_before_allocation(tmp_path, capsys, argv, name, text):
+    # 22 qubits is within the state cap, so only the order cap stops the
+    # 2^22 amplitudes (64 MiB) from being allocated.
+    path = put(tmp_path, name, text)
+    tracemalloc.start()
+    try:
+        code = main([a.format(path=path) for a in argv] + [path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "hypermatrices are capped at order 16, got 22 qubits" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [
+        (["parse", "--in"], 17),
+        (["tangle", "--state"], 18),
+        (["hdet", "--method", "fast", "--state"], 18),
+    ],
+    ids=["parse", "tangle", "hdet-fast"],
+)
+def test_state_commands_accept_states_past_the_order_cap(tmp_path, capsys, argv, width):
+    path = put(tmp_path, "wide.ket", "|" + "0" * width + ">")
+    assert main(argv + [path, "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_verify_text_and_json(capsys):

@@ -29,7 +29,7 @@ from qhyper import (
     random_su2,
     state_to_hypermatrix,
 )
-from qhyper.hosvd import DEGENERACY_GAP, _alignment_candidates
+from qhyper.hosvd import DEGENERACY_GAP, HosvdResult, _alignment_candidates
 
 TOL = 1e-10
 CROSS_TOL = 1e-12
@@ -342,6 +342,37 @@ def test_canonicalize_matches_per_entry_walk(kind, negligible):
         expect = oracles.canonical_core_walk(res.core.data, negligible)
         got = canonicalize_core(res, negligible=negligible).core.data
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("kind", ["symmetric", "sparse"])
+def test_canonicalize_matches_per_entry_walk_wide(kind, n):
+    # Long tie groups and many of them: the visiting order must sort by
+    # group first and by index only within a group.
+    rng = np.random.default_rng(606 + n)
+    psi = _test_state(kind, n, rng)
+    psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
+    res = hosvd(state_to_hypermatrix(psi))
+    for negligible in (2.5e-11, 1e-3):
+        expect = oracles.canonical_core_walk(res.core.data, negligible)
+        got = canonicalize_core(res, negligible=negligible).core.data
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+
+def test_canonicalize_planted_tie_groups():
+    # The top group holds index 5 only; the next groups hold the smaller
+    # indices 0, 2 and 3, which a key ignoring the groups would visit first.
+    flat = np.zeros(8, dtype=complex)
+    for i, mag, phase in [(5, 0.8, 0.3), (0, 0.5, 1.1), (6, 0.5, -0.7), (2, 0.3, 2.0), (3, 0.3, -2.5)]:
+        flat[i] = mag * np.exp(1j * phase)
+    res = HosvdResult(
+        factors=(np.eye(2, dtype=complex),) * 3,
+        core=Hypermatrix(flat.reshape(2, 2, 2)),
+        mode_svals=(np.ones(2),) * 3,
+    )
+    got = canonicalize_core(res).core.data
+    assert got.reshape(-1)[5] == pytest.approx(0.8)
+    np.testing.assert_allclose(got, oracles.canonical_core_walk(res.core.data, TOL / 4), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,26 @@ def test_multilinear_matches_naive_oracle():
     np.testing.assert_allclose(got.data, expect, atol=TOL)
 
 
+@pytest.mark.parametrize(
+    "dims, shapes",
+    [
+        ((3,), [(5, 3)]),
+        ((3, 2, 1, 4), [(1, 3), (4, 2), (2, 1), (3, 4)]),
+        ((2, 3, 1, 2, 2), [(4, 2), (1, 3), (3, 1), (2, 2), (1, 2)]),
+    ],
+    ids=["order-1", "order-4", "order-5"],
+)
+def test_multilinear_rectangular_matches_naive_oracle(dims, shapes):
+    # Every mode passes through the front once and the result is transposed
+    # back at the end, so each mode must get the row count of its own matrix.
+    rng = np.random.default_rng(len(dims))
+    H = random_hyper(rng, dims)
+    mats = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    got = multilinear_multiply(mats, H)
+    assert got.dims == tuple(r for r, _ in shapes)
+    np.testing.assert_allclose(got.data, oracles.naive_multilinear(mats, H.data), atol=TOL)
+
+
 def test_multilinear_identity_is_noop():
     rng = np.random.default_rng(8)
     H = random_hyper(rng, (2, 2, 2))
