@@ -108,22 +108,49 @@ def test_parse_lexicographic_order_msb_first():
     assert np.argmax(np.abs(s.amplitudes)) == 4  # qubit 1 is the leftmost bit
 
 
+# (text, position, message) of each ket syntax error, as the
+# term-by-term parser reported them.
+SYNTAX_ERRORS = [
+    ("0.5|00> + |2>", 10, "expected '|bits>'"),
+    ("", 0, "empty expression"),
+    ("   ", 3, "empty expression"),
+    ("|01", 0, "expected '|bits>'"),
+    ("0.5|0> 0.5|1>", 7, "expected '+', '-' or end of input"),
+    ("|0> + |00>", 6, "ket has 2 bits, earlier kets have 1"),
+    ("1/0|0>", 0, "zero denominator in fraction"),
+    ("1/sqrt(0)|0>", 0, "zero radicand in 1/sqrt(...)"),
+    # missing sign between terms, trailing garbage
+    ("|0>|1>", 3, "expected '+', '-' or end of input"),
+    ("|0> + |1> x", 10, "expected '+', '-' or end of input"),
+    # '*' with no coefficient, a lone or dangling sign
+    ("*|0>", 0, "expected a coefficient or '|'"),
+    ("+", 1, "expected a coefficient or '|'"),
+    ("|0> +", 5, "expected a coefficient or '|'"),
+    ("1/sqrt(2)|0> ++|1>", 14, "expected a coefficient or '|'"),
+    # unclosed complex coefficient
+    ("(0.1+0.2i|0>", 0, "expected a coefficient or '|'"),
+    # zero radicand or denominator after whitespace, before a bad ket
+    ("  1/0|0>", 2, "zero denominator in fraction"),
+    ("|0> -\t1/sqrt( 0 )|1>", 6, "zero radicand in 1/sqrt(...)"),
+    ("- 1/sqrt(00)*x", 2, "zero radicand in 1/sqrt(...)"),
+    ("1/0 *", 0, "zero denominator in fraction"),
+    # width mismatch in term 3
+    ("|00> + |01> + |1>", 14, "ket has 1 bits, earlier kets have 2"),
+    # a coefficient that matches, then no ket
+    ("1/2/3|0>", 3, "expected '|bits>'"),
+    ("1e|0>", 1, "expected '|bits>'"),
+    ("0.5 * * |0>", 6, "expected '|bits>'"),
+    ("|0> + (1e5-2.5e-3i) *|1x>", 21, "expected '|bits>'"),
+    ("|0>\u00a0x", 4, "expected '+', '-' or end of input"),
+]
+
+
 def test_parse_syntax_errors_carry_position():
-    with pytest.raises(KetSyntaxError) as err:
-        parse_ket("0.5|00> + |2>")
-    assert err.value.position == 10
-    with pytest.raises(KetSyntaxError):
-        parse_ket("")
-    with pytest.raises(KetSyntaxError):
-        parse_ket("|01")
-    with pytest.raises(KetSyntaxError):
-        parse_ket("0.5|0> 0.5|1>")
-    with pytest.raises(KetSyntaxError):
-        parse_ket("|0> + |00>")
-    with pytest.raises(KetSyntaxError):
-        parse_ket("1/0|0>")
-    with pytest.raises(KetSyntaxError):
-        parse_ket("1/sqrt(0)|0>")
+    for text, position, message in SYNTAX_ERRORS:
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(text, check_norm=False)
+        assert (text, str(err.value)) == (text, f"{message} (at position {position})")
+        assert err.value.position == position
 
 
 def test_parse_norm_policy():
