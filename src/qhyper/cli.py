@@ -52,8 +52,7 @@ def _emit(payload, lines, out_path=None):
     None, to ``out_path``, or to stdout when it is not given."""
     with (open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
         if lines is None:
-            # Streamed: json.dumps would first hold every chunk in memory.
-            json.dump(payload, fh, indent=2)
+            tensor._write_json(payload, fh)
         else:
             fh.write("\n".join(lines))
         fh.write("\n")
@@ -168,14 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each _cmd_* returns (payload, lines): ``lines`` is None when the command
-# always writes JSON, else an iterable that only text output consumes.
+# always writes JSON, else an iterable that only text output consumes.  A
+# payload holds complex arrays where the library's *_to_json forms hold
+# {"re", "im"} lists; _emit streams them out as the same bytes.
 
 
 def _cmd_parse(args):
     state = _load_state(
         args.infile, renormalize=args.renormalize, check_norm=not args.no_normalize
     )
-    return states.state_to_json(state), None
+    return {"num_qubits": state.num_qubits, "amplitudes": state.amplitudes}, None
 
 
 def _cmd_svals(args):
@@ -191,8 +192,8 @@ def _cmd_hosvd(args):
     res = hosvd(_load_hypermatrix(args.state))
     payload = {
         "mode_svals": [sv.tolist() for sv in res.mode_svals],
-        "factors": [tensor.matrix_to_json(V) for V in res.factors],
-        "core": tensor.tensor_to_json(res.core),
+        "factors": [{"rows": V.shape[0], "cols": V.shape[1], "entries": V} for V in res.factors],
+        "core": {"dims": list(res.core.dims), "entries": res.core.data},
     }
     core_lines = (
         f"core[{','.join(str(i) for i in idx)}] = {_fmt(z.real)} {_fmt(z.imag)}i"
@@ -231,7 +232,7 @@ def _cmd_permute(args):
     except ValueError:
         raise ValidationError(f"--perm must be a comma list of integers, got {args.perm!r}")
     out = states.hypermatrix_to_state(tensor.mode_permute(H, mapping))
-    return states.state_to_json(out), None
+    return {"num_qubits": out.num_qubits, "amplitudes": out.amplitudes}, None
 
 
 def _cmd_hdet(args):

@@ -111,49 +111,47 @@ class QubitState:
         return f"QubitState(num_qubits={self.num_qubits})"
 
 
-_SQRT_RE = re.compile(r"1\s*/\s*sqrt\(\s*(\d+)\s*\)")
-_FRAC_RE = re.compile(r"(\d+)\s*/\s*(\d+)")
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(
-    r"\(\s*([+-]?" + _NUM + r")\s*([+-])\s*(" + _NUM + r")\s*i\s*\)"
+# Coefficient forms in the order they are tried: 1/sqrt(r), p/q, (a+bi), decimal.
+# Each digit run splits one way only, so a failed match backtracks in linear time.
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_COEF = (
+    r"1\s*/\s*sqrt\(\s*(\d+)\s*\)|(\d+)\s*/\s*(\d+)"
+    r"|\(\s*([+-]?" + _NUM + r")\s*([+-])\s*(" + _NUM + r")\s*i\s*\)|(" + _NUM + ")"
 )
-_DECIMAL_RE = re.compile(_NUM)
+# A term up to its ket, [sign] [coef ['*']], each token after optional whitespace.
+_HEAD = r"\s*(?:([+-])\s*)?(?:(" + _COEF + r")\s*(?:\*\s*)?)?"
+_HEAD_RE = re.compile(_HEAD)
+# The empty alternative matches wherever no term does, so finditer never skips
+# text: the first match without bits is the first offset no term covers.
+_TERM_RE = re.compile(_HEAD + r"\|([01]+)>|")
 _KET_RE = re.compile(r"\|([01]+)>")
 
 
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_coefficient(text, pos):
-    """Return (value, new_pos); value is 1 when no coefficient is present."""
-    if pos < len(text) and text[pos] == "|":
-        return 1.0 + 0.0j, pos
-    m = _SQRT_RE.match(text, pos)
-    if m:
-        radicand = int(m.group(1))
-        if radicand == 0:
+def _ratio(root, num, den, pos):
+    """``1/sqrt(root)`` or ``num/den`` for the coefficient starting at ``pos``."""
+    if root is not None:
+        radicand = int(root)
+        if not radicand:
             raise KetSyntaxError("zero radicand in 1/sqrt(...)", pos)
-        return complex(1.0 / math.sqrt(radicand)), m.end()
-    m = _FRAC_RE.match(text, pos)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise KetSyntaxError("zero denominator in fraction", pos)
-        return complex(num / den), m.end()
-    m = _COMPLEX_RE.match(text, pos)
-    if m:
-        re_part = float(m.group(1))
-        im_part = float(m.group(3))
-        if m.group(2) == "-":
-            im_part = -im_part
-        return complex(re_part, im_part), m.end()
-    m = _DECIMAL_RE.match(text, pos)
-    if m:
-        return complex(float(m.group(0))), m.end()
-    raise KetSyntaxError("expected a coefficient or '|'", pos)
+        return complex(1.0 / math.sqrt(radicand))
+    if not int(den):
+        raise KetSyntaxError("zero denominator in fraction", pos)
+    return complex(int(num) / int(den))
+
+
+def _term_error(text, pos, first):
+    """Raise the KetSyntaxError for the term that does not match at ``pos``."""
+    m = _HEAD_RE.match(text, pos)
+    sign, coef, root, num, den = m.group(1, 2, 3, 4, 5)
+    if sign is None and not first:
+        raise KetSyntaxError("expected '+', '-' or end of input", m.start(2) if coef else m.end())
+    if coef is None and sign is None and m.end() == len(text):
+        raise KetSyntaxError("empty expression", m.end())
+    if coef is None and not text.startswith("|", m.end()):
+        raise KetSyntaxError("expected a coefficient or '|'", m.end())
+    if root or num:
+        _ratio(root, num, den, m.start(2))
+    raise KetSyntaxError("expected '|bits>'", m.end())
 
 
 def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) -> QubitState:
@@ -182,37 +180,28 @@ def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) 
     """
     amps: dict[str, complex] = {}
     width = None
-    pos = _skip_ws(text, 0)
-    if pos == len(text):
-        raise KetSyntaxError("empty expression", pos)
-    sign = 1.0
-    if text[pos] in "+-":
-        sign = -1.0 if text[pos] == "-" else 1.0
-        pos = _skip_ws(text, pos + 1)
-    while True:
-        coef, pos = _parse_coefficient(text, pos)
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
-        m = _KET_RE.match(text, pos)
-        if not m:
-            raise KetSyntaxError("expected '|bits>'", pos)
-        bits = m.group(1)
-        if width is None:
+    for m in _TERM_RE.finditer(text):
+        sign, coef, root, num, den, re_part, op, im_part, dec, bits = m.groups()
+        if bits is None or (sign is None and amps):
+            break
+        if dec is not None:
+            value = complex(float(dec))
+        elif re_part is not None:
+            value = complex(float(re_part), -float(im_part) if op == "-" else float(im_part))
+        elif coef is not None:
+            value = _ratio(root, num, den, m.start(2))
+        else:
+            value = 1.0 + 0.0j
+        if len(bits) != width:
+            if width is not None:
+                raise KetSyntaxError(
+                    f"ket has {len(bits)} bits, earlier kets have {width}", m.start(10) - 1
+                )
             width = len(bits)
             _check_qubit_cap(width)
-        elif len(bits) != width:
-            raise KetSyntaxError(
-                f"ket has {len(bits)} bits, earlier kets have {width}", pos
-            )
-        amps[bits] = amps.get(bits, 0.0 + 0.0j) + sign * coef
-        pos = _skip_ws(text, m.end())
-        if pos == len(text):
-            break
-        if text[pos] not in "+-":
-            raise KetSyntaxError("expected '+', '-' or end of input", pos)
-        sign = -1.0 if text[pos] == "-" else 1.0
-        pos = _skip_ws(text, pos + 1)
+        amps[bits] = amps.get(bits, 0.0 + 0.0j) + (-1.0 if sign == "-" else 1.0) * value
+    if not amps or text[m.start() :].strip():
+        _term_error(text, m.start(), not amps)
 
     vec = np.zeros(2**width, dtype=np.complex128)
     for bits, value in amps.items():

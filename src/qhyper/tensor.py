@@ -16,6 +16,7 @@ qubit 1 the most significant bit of the basis label.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -227,6 +228,41 @@ def _complex_to_json(arr) -> list:
     """``[{"re": .., "im": ..}, ...]`` for the entries of ``arr`` in row-major order."""
     arr = np.ravel(arr)
     return [{"re": r, "im": i} for r, i in zip(arr.real.tolist(), arr.imag.tolist())]
+
+
+_CHUNK = 1024  # entries rendered per write
+
+
+def _write_json(payload, fh) -> None:
+    """Write ``json.dumps(payload, indent=2)`` to ``fh``, where ``payload`` may
+    hold non-empty complex ndarrays in place of :func:`_complex_to_json` lists.
+
+    Each array becomes the same ``{"re", "im"}`` entries, rendered by a ``%r``
+    template (the float ``repr`` that ``json`` writes) one chunk at a time, so
+    neither the dict list nor the whole text is held.  Anything else that
+    ``json`` cannot write raises ``json``'s own ``TypeError``.
+    """
+    arrays = []
+
+    def claim(obj):  # leaves "\0" where the array goes; no payload string may be "\0"
+        if isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+            arrays.append(obj)
+            return "\0"
+        return json.JSONEncoder().default(obj)
+
+    pieces = json.dumps(payload, indent=2, default=claim).split('"\\u0000"')
+    for text, arr in zip(pieces, arrays):
+        line = text[text.rfind("\n") + 1 :]
+        outer = line[: len(line) - len(line.lstrip(" "))]
+        sep, pad = ",\n  " + outer, "    " + outer
+        entry = f'{{\n{pad}"re": %r,\n{pad}"im": %r\n  {outer}}}'
+        parts = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1).view(np.float64)
+        fh.write(text + "[\n  " + outer)
+        for start in range(0, parts.size, 2 * _CHUNK):
+            chunk = parts[start : start + 2 * _CHUNK].tolist()
+            fh.write((sep if start else "") + sep.join([entry] * (len(chunk) // 2)) % tuple(chunk))
+        fh.write("\n" + outer + "]")
+    fh.write(pieces[-1])
 
 
 def _complex_from_json(entries, count, what="entries") -> np.ndarray:

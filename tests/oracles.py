@@ -6,7 +6,8 @@ shares no code with the package: permutation parity is counted by
 inversions instead of cycles, unfoldings use the explicit column-index
 formula, the spin flip builds the actual complex Kronecker power, and
 outer products, ket strings, ``{"re", "im"}`` entries and mode
-mappings are built by plain loops.
+mappings are built by plain loops, and ket text is read one
+character at a time.
 The one exception is :func:`lu_equivalence_recompute`, a reference for
 the relabeling search only: it decomposes every relabelled copy with
 the package's own HOSVD and canonicalization.
@@ -83,6 +84,87 @@ def format_ket(amplitudes):
             op = "-" if z.imag < 0 else "+"
             parts.append(f"({z.real:.17g}{op}{abs(z.imag):.17g}i)|{j:0{width}b}>")
     return " + ".join(parts)
+
+
+def ket_amplitudes(text):
+    """Unnormalized amplitudes of a well-formed ket expression.
+
+    Reads the text one character at a time, with no regular expression:
+    an optional sign, then terms ``[coef [*]] |bits>`` joined by '+' or
+    '-', whitespace anywhere between tokens.  A coefficient is
+    ``1/sqrt(r)``, ``p/q``, ``(a+bi)`` or a decimal.  Each term adds
+    sign * coefficient into the amplitude of its label, in text order.
+    """
+    pos = 0
+
+    def skip():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def take(chars):
+        nonlocal pos
+        start = pos
+        while pos < len(text) and (text[pos].isdecimal() or text[pos] in chars):
+            if text[pos] in "+-" and text[pos - 1] not in "eE":
+                break
+            pos += 1
+        return text[start:pos]
+
+    def expect(literal):
+        nonlocal pos
+        skip()
+        assert text.startswith(literal, pos), (literal, pos)
+        pos += len(literal)
+        skip()
+
+    terms = []
+    skip()
+    while pos < len(text):
+        sign = 1.0
+        if text[pos] in "+-":
+            sign = -1.0 if text[pos] == "-" else 1.0
+            expect(text[pos])
+        coef = None
+        if text[pos] == "(":
+            expect("(")
+            lead = text[pos] if text[pos] in "+-" else ""
+            pos += len(lead)
+            real = float(lead + take(".eE+-"))
+            skip()
+            minus = text[pos] == "-"
+            expect(text[pos])
+            imag = float(take(".eE+-"))
+            expect("i")
+            expect(")")
+            coef = complex(real, -imag if minus else imag)
+        elif text[pos] != "|":
+            first = take(".eE+-")
+            skip()
+            if text[pos] != "/":
+                coef = complex(float(first))
+            else:
+                expect("/")
+                if text.startswith("sqrt(", pos):
+                    expect("sqrt(")
+                    coef = complex(1.0 / math.sqrt(int(take(""))))
+                    expect(")")
+                else:
+                    coef = complex(int(first) / int(take("")))
+        skip()
+        if coef is not None and text[pos] == "*":
+            expect("*")
+        expect("|")
+        end = text.index(">", pos)
+        terms.append((text[pos:end], sign * (1.0 + 0.0j if coef is None else coef)))
+        pos = end + 1
+        skip()
+    width = len(terms[0][0])
+    out = np.zeros(2**width, dtype=complex)
+    for bits, value in terms:
+        assert len(bits) == width
+        out[int(bits, 2)] += value
+    return out
 
 
 def complex_entries(entries):

@@ -10,11 +10,13 @@ import json
 
 import pytest
 
+import oracles
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qhyper import QhyperError, QubitState, parse_ket, state_from_json  # noqa: E402
+from qhyper import QhyperError, QubitState, ValidationError, parse_ket, state_from_json  # noqa: E402
 from qhyper.cli import _load_state  # noqa: E402
 
 # Decimals with exponents up to +-400, so squared norms (and the
@@ -79,3 +81,55 @@ def test_state_json_returns_state_or_qhyper_error(tmp_path_factory, obj, renorma
         except QhyperError:
             continue
         assert isinstance(state, QubitState)
+
+
+# Finite decimals only, so that every well-formed ket below has finite amplitudes.
+finite_decimals = st.builds(
+    "{}e{}".format, st.sampled_from(["0", "1", "2.5", ".5", "7.", "0.6"]), st.integers(-330, 300)
+) | st.floats(0.0, 1e300).map(repr)
+
+
+@st.composite
+def well_formed_kets(draw):
+    """Kets in every coefficient form, with whitespace (tabs and newlines
+    too) between tokens, an optional leading sign and '*', and labels
+    that repeat."""
+    def ws():
+        return draw(st.text(" \t\n", max_size=2))
+
+    def decimal():
+        return draw(finite_decimals)
+
+    width = draw(st.integers(1, 3))
+    labels = st.text("01", min_size=width, max_size=width)
+    text = ws() + draw(st.sampled_from(["", "+", "-"]))
+    for k in range(draw(st.integers(1, 6))):
+        if k:
+            text += ws() + draw(st.sampled_from("+-"))
+        form = draw(st.integers(0, 4))
+        if form == 0:
+            coef = ""
+        elif form == 1:
+            coef = decimal()
+        elif form == 2:
+            coef = f"{draw(st.integers(0, 10**6))}{ws()}/{ws()}{draw(st.integers(1, 10**6))}"
+        elif form == 3:
+            coef = f"1{ws()}/{ws()}sqrt({ws()}{draw(st.integers(1, 10**6))}{ws()})"
+        else:
+            real = draw(st.sampled_from(["", "+", "-"])) + decimal()
+            op = draw(st.sampled_from("+-"))
+            coef = f"({ws()}{real}{ws()}{op}{ws()}{decimal()}{ws()}i{ws()})"
+        star = ws() + "*" if coef and draw(st.booleans()) else ""
+        text += ws() + coef + star + ws() + "|" + draw(labels) + ">"
+    return text + ws()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=well_formed_kets())
+def test_parse_ket_matches_the_character_loop_oracle(text):
+    expect = oracles.ket_amplitudes(text)
+    if not expect.any():
+        with pytest.raises(ValidationError):
+            parse_ket(text, check_norm=False)
+        return
+    assert parse_ket(text, check_norm=False).amplitudes.tobytes() == expect.tobytes()

@@ -1,6 +1,8 @@
 """Hypermatrix construction and the multilinear operations."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from qhyper import (
     matrix_to_json,
     mode_permute,
     multilinear_multiply,
+    random_state,
     tensor_to_json,
 )
-from qhyper.tensor import _complex_from_json, _json_int
+from qhyper.tensor import _complex_from_json, _json_int, _write_json
 
 TOL = 1e-12
 
@@ -283,3 +286,34 @@ def test_matrix_json_rejects_malformed_entries():
         _complex_from_json([one, {"re": 1.0}], 1 * 2)
     with pytest.raises(ValidationError):
         _json_int("x", "rows")
+
+
+@pytest.mark.parametrize(
+    "stray", [np.int64(3), np.arange(3.0), {1, 2}], ids=["int64", "real-array", "set"]
+)
+def test_write_json_rejects_what_json_rejects(stray):
+    # Only complex arrays are written as entries; everything else that json
+    # cannot write fails with json's own TypeError, before any output.
+    amps = np.ones(2, dtype=complex)
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"amplitudes": [{"re": 1.0, "im": 0.0}] * 2, "stray": [stray]}, indent=2)
+    fh = io.StringIO()
+    with pytest.raises(TypeError) as got:
+        _write_json({"amplitudes": amps, "stray": [stray]}, fh)
+    assert str(got.value) == str(expected.value)
+    assert fh.getvalue() == ""
+
+
+def test_write_json_memory_is_bounded(tmp_path):
+    # A 2^16-entry state: the dict list and json.dump peak at ~16x the 1 MiB vector.
+    amps = random_state(16, 5).amplitudes
+    with open(tmp_path / "state.json", "w") as fh:
+        tracemalloc.start()
+        try:
+            _write_json({"num_qubits": 16, "amplitudes": amps}, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < amps.nbytes
+    written = json.loads((tmp_path / "state.json").read_text())
+    assert oracles.complex_entries(written["amplitudes"]).tobytes() == amps.tobytes()
