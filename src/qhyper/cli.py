@@ -58,15 +58,13 @@ def _emit(payload, lines, out_path=None):
         fh.write("\n")
 
 
-def _load_state(
-    path: str, *, renormalize=False, check_norm=True, order_cap=False
-) -> states.QubitState:
+def _load_state(path: str, *, norm="check", order_cap=False) -> states.QubitState:
     """Read ket text, or state JSON when the file starts with '{'.
 
-    ``renormalize`` rescales any nonzero state to unit norm and
-    ``check_norm=False`` skips the norm check, for either format.
-    ``order_cap`` checks the hypermatrix order cap on the width of the
-    first ket, or on ``num_qubits``, before any amplitude is allocated.
+    ``norm`` is the :class:`states.QubitState` policy, the same for
+    either format.  ``order_cap`` checks the hypermatrix order cap on the
+    width of the first ket, or on ``num_qubits``, before any amplitude is
+    allocated.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -74,14 +72,14 @@ def _load_state(
         first = order_cap and states._KET_RE.search(raw)
         if first:
             states._check_order_cap(len(first.group(1)))
-        return states.parse_ket(raw, renormalize=renormalize, check_norm=check_norm)
-    obj = json.loads(raw)
+        return states.parse_ket(raw, norm=norm)
+    try:
+        obj = json.loads(raw)
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
+        raise _ParseError(exc) from None
     if order_cap and isinstance(obj, dict):
         states._check_order_cap(tensor._json_int(obj.get("num_qubits"), "num_qubits"))
-    state = states.state_from_json(obj, check_norm=check_norm and not renormalize)
-    if renormalize:
-        state = states.QubitState(states._unit_vector(state.amplitudes))
-    return state
+    return states.state_from_json(obj, norm=norm)
 
 
 def _load_hypermatrix(path: str) -> tensor.Hypermatrix:
@@ -97,55 +95,65 @@ class _UsageError(Exception):
     pass
 
 
+class _ParseError(Exception):
+    pass
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qhyper", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a ket expression or state JSON file")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--output", choices=("text", "json"), default="text", help="output format")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("parse", _cmd_parse, "parse a ket expression or state JSON file")
     p.add_argument("--in", dest="infile", required=True, help="input file")
     p.add_argument("--out", help="output file (default stdout)")
     norm = p.add_mutually_exclusive_group()
-    norm.add_argument("--renormalize", action="store_true", help="rescale to unit norm")
-    norm.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="skip normalization check entirely (diagnostics)",
-    )
+    for flag, policy, text in (
+        ("--renormalize", "renormalize", "rescale to unit norm"),
+        ("--no-normalize", "skip", "skip normalization check entirely (diagnostics)"),
+    ):
+        norm.add_argument(flag, dest="norm", action="store_const", const=policy, help=text)
+    p.set_defaults(norm="check")
 
-    p = sub.add_parser("svals", help="per-mode singular values of a state")
+    p = command("svals", _cmd_svals, "per-mode singular values of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--mode", type=int, default=None, help="one mode only (1-based)")
 
-    p = sub.add_parser("hosvd", help="full decomposition report")
+    p = command("hosvd", _cmd_hosvd, "full decomposition report")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("lu-equiv", help="three-valued local-unitary equivalence")
+    p = command("lu-equiv", _cmd_lu_equiv, "three-valued local-unitary equivalence")
     p.add_argument("--a", required=True, help="first state file")
     p.add_argument("--b", required=True, help="second state file")
     p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
 
-    p = sub.add_parser("permute", help="permute the qubit slots of a state")
+    p = command("permute", _cmd_permute, "permute the qubit slots of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--perm", required=True, help="comma list, e.g. 3,2,1")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("hdet", help="combinatorial hyperdeterminant of a state")
+    p = command("hdet", _cmd_hdet, "combinatorial hyperdeterminant of a state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument(
         "--method", choices=("fast", "reduced", "general"), default="fast"
     )
 
-    p = sub.add_parser("tangle", help="n-tangle of a 2n-qubit state")
+    p = command("tangle", _cmd_tangle, "n-tangle of a 2n-qubit state")
     p.add_argument("--state", required=True, help="state file")
     p.add_argument("--via", choices=("spinflip", "hdet"), default="spinflip")
 
-    p = sub.add_parser("signs", help="print a sign string")
+    p = command("signs", _cmd_signs, "print a sign string")
     p.add_argument("--what", choices=("ent", "sigma"), required=True)
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
     p.add_argument("--blocks", action="store_true", help="print P/N blocks")
 
-    p = sub.add_parser("verify", help="check the antidiagonal sign identity")
+    p = command("verify", _cmd_verify, "check the antidiagonal sign identity")
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
     p.add_argument(
         "--dense",
@@ -154,15 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compare dense sign matrices (auto: n <= 5)",
     )
 
-    p = sub.add_parser("bench", help="time the fast vs. reduced hyperdeterminant")
+    p = command("bench", _cmd_bench, "time the fast vs. reduced hyperdeterminant")
     p.add_argument("--n", type=int, required=True, help="half the qubit count")
     p.add_argument("--reps", type=int, default=5, help="repetitions per method")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-
-    for p in sub.choices.values():
-        p.add_argument(
-            "--output", choices=("text", "json"), default="text", help="output format"
-        )
     return parser
 
 
@@ -173,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_parse(args):
-    state = _load_state(
-        args.infile, renormalize=args.renormalize, check_norm=not args.no_normalize
-    )
+    state = _load_state(args.infile, norm=args.norm)
     return {"num_qubits": state.num_qubits, "amplitudes": state.amplitudes}, None
 
 
@@ -313,40 +314,23 @@ def _cmd_bench(args):
     ]
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "svals": _cmd_svals,
-    "hosvd": _cmd_hosvd,
-    "lu-equiv": _cmd_lu_equiv,
-    "permute": _cmd_permute,
-    "hdet": _cmd_hdet,
-    "tangle": _cmd_tangle,
-    "signs": _cmd_signs,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, lines = _COMMANDS[args.command](args)
+        payload, lines = args.run(args)
         _emit(payload, None if args.output == "json" else lines, getattr(args, "out", None))
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KetSyntaxError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (KetSyntaxError, _ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except QhyperError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (QhyperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -67,17 +67,24 @@ class QubitState:
     of the basis label given by j written with ``num_qubits`` bits,
     qubit 1 leftmost.
 
+    ``norm`` is the norm policy of every state reader: ``"check"`` (the
+    default) requires the squared norm within ``NORM_TOL`` of 1,
+    ``"renormalize"`` rescales any nonzero vector to unit norm (also when
+    its squared norm overflows or underflows), and ``"skip"`` checks
+    nothing, for diagnostics only: the state may then violate the norm
+    invariant.
+
     Raises
     ------
     ValidationError
         If the length is not a power of two at least 2, any amplitude is
-        non-finite, or (unless ``check_norm=False``) the squared norm
-        deviates from 1 by more than ``NORM_TOL``.
+        non-finite, the norm fails the policy, or ``norm`` is none of the
+        three policies.
     """
 
     __slots__ = ("_amp",)
 
-    def __init__(self, amplitudes, *, check_norm: bool = True):
+    def __init__(self, amplitudes, *, norm: str = "check"):
         amp = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         n = int(amp.size).bit_length() - 1
         if amp.size < 2 or amp.size != 2**n:
@@ -86,12 +93,16 @@ class QubitState:
             )
         if not np.isfinite(amp).all():
             raise ValidationError("amplitudes must be finite")
-        if check_norm:
+        if norm == "renormalize":
+            amp = _unit_vector(amp)
+        elif norm == "check":
             sq = float(np.vdot(amp, amp).real)
             if abs(sq - 1.0) > NORM_TOL:
                 raise ValidationError(
                     f"state is not normalized: sum |amp|^2 = {sq!r}"
                 )
+        elif norm != "skip":
+            raise ValidationError(f"norm must be 'check', 'renormalize' or 'skip', got {norm!r}")
         amp.setflags(write=False)
         self._amp = amp
 
@@ -129,14 +140,17 @@ _KET_RE = re.compile(r"\|([01]+)>")
 
 def _ratio(root, num, den, pos):
     """``1/sqrt(root)`` or ``num/den`` for the coefficient starting at ``pos``."""
-    if root is not None:
-        radicand = int(root)
-        if not radicand:
-            raise KetSyntaxError("zero radicand in 1/sqrt(...)", pos)
-        return complex(1.0 / math.sqrt(radicand))
-    if not int(den):
-        raise KetSyntaxError("zero denominator in fraction", pos)
-    return complex(int(num) / int(den))
+    try:
+        if root is not None:
+            radicand = int(root)
+            if not radicand:
+                raise KetSyntaxError("zero radicand in 1/sqrt(...)", pos)
+            return complex(1.0 / math.sqrt(radicand))
+        if not int(den):
+            raise KetSyntaxError("zero denominator in fraction", pos)
+        return complex(int(num) / int(den))
+    except (OverflowError, ValueError):  # past the float range or int's digit limit
+        raise ValidationError(f"number too large in coefficient (at position {pos})") from None
 
 
 def _term_error(text, pos, first):
@@ -154,19 +168,17 @@ def _term_error(text, pos, first):
     raise KetSyntaxError("expected '|bits>'", m.end())
 
 
-def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) -> QubitState:
+def parse_ket(text: str, *, norm: str = "check") -> QubitState:
     """Parse a ket expression into a :class:`QubitState`.
 
     All kets must have the same number of bits; amplitudes of repeated
-    labels are summed.  Unless ``renormalize`` is set, the squared norm
-    of the parsed vector must be within ``PARSE_NORM_SLACK`` of 1; the
-    residual is then divided out exactly (no-op when already within
-    ``NORM_TOL``, so printing and reparsing a valid state is exact).
-    With ``renormalize`` any nonzero finite vector is rescaled to unit
-    norm, also when its squared norm overflows or underflows.
-    ``check_norm=False`` skips both the check and the cleanup and can
-    return a state object violating the norm invariant; it exists for
-    diagnostics only.
+    labels are summed.  ``norm`` is the :class:`QubitState` policy, with
+    more slack under ``"check"``: the squared norm of the parsed vector
+    must be within ``PARSE_NORM_SLACK`` of 1, and the residual is then
+    divided out exactly (no-op when already within ``NORM_TOL``, so
+    printing and reparsing a valid state is exact).  ``"renormalize"``
+    rescales any nonzero finite vector and ``"skip"`` keeps the parsed
+    amplitudes as they are.
 
     Raises
     ------
@@ -175,8 +187,8 @@ def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) 
     SizeCapError
         When the kets have more than ``MAX_QUBITS`` bits.
     ValidationError
-        On a zero vector, a non-finite amplitude, or a norm outside
-        the slack without ``renormalize``.
+        On a zero vector, a non-finite amplitude, a coefficient with a
+        number too large for a float, or a norm that fails the policy.
     """
     amps: dict[str, complex] = {}
     width = None
@@ -208,35 +220,33 @@ def parse_ket(text: str, *, renormalize: bool = False, check_norm: bool = True) 
         vec[int(bits, 2)] += value
     if not vec.any():
         raise ValidationError("expression sums to the zero vector")
-    if not check_norm:
-        return QubitState(vec, check_norm=False)
-    if renormalize:
-        return QubitState(_unit_vector(vec))
-    sq = float(np.vdot(vec, vec).real)
-    if abs(sq - 1.0) > PARSE_NORM_SLACK:
-        raise ValidationError(
-            f"expression is not normalized: sum |amp|^2 = {sq!r} "
-            "(pass renormalize to rescale)"
-        )
-    elif abs(sq - 1.0) > NORM_TOL:
-        vec = vec / math.sqrt(sq)
-    return QubitState(vec)
+    if norm == "check":
+        sq = float(np.vdot(vec, vec).real)
+        if abs(sq - 1.0) > PARSE_NORM_SLACK:
+            raise ValidationError(
+                f"expression is not normalized: sum |amp|^2 = {sq!r} "
+                "(renormalize to rescale)"
+            )
+        elif abs(sq - 1.0) > NORM_TOL:
+            vec = vec / math.sqrt(sq)
+    return QubitState(vec, norm=norm)
 
 
 def _unit_vector(vec):
-    """``vec / sqrt(sum |amp|^2)`` for a nonzero finite vector.
+    """``vec / sqrt(sum |amp|^2)`` for a nonzero finite contiguous vector.
 
-    When the squared norm underflows to 0 or overflows, the vector is
-    first divided by its largest component magnitude.
+    When the squared norm underflows to 0 or overflows, the real and
+    imaginary parts are first divided by the largest of their magnitudes.
+    They are divided as floats: complex division multiplies by ``1/peak``,
+    which overflows when ``peak`` is subnormal.
     """
-    if not np.isfinite(vec).all():
-        raise ValidationError("amplitudes must be finite")
     sq = float(np.vdot(vec, vec).real)
     if not 0.0 < sq < math.inf:
-        peak = max(np.max(np.abs(vec.real)), np.max(np.abs(vec.imag)))
+        parts = vec.view(np.float64)
+        peak = np.max(np.abs(parts))
         if peak == 0.0:
             raise ValidationError("cannot renormalize the zero vector")
-        vec = vec / peak
+        vec = (parts / peak).view(np.complex128)
         sq = float(np.vdot(vec, vec).real)
     return vec / math.sqrt(sq)
 
@@ -274,13 +284,14 @@ def state_to_json(state: QubitState) -> dict:
     return {"num_qubits": state.num_qubits, "amplitudes": _complex_to_json(state.amplitudes)}
 
 
-def state_from_json(obj, *, check_norm: bool = True) -> QubitState:
+def state_from_json(obj, *, norm: str = "check") -> QubitState:
+    """Inverse of :func:`state_to_json`, under the :class:`QubitState` ``norm`` policy."""
     if not isinstance(obj, dict):
         raise ValidationError("state JSON needs 'num_qubits' and 'amplitudes'")
     n = _json_int(obj.get("num_qubits"), "num_qubits")
     _check_qubit_cap(n)
     amps = _complex_from_json(obj.get("amplitudes"), 2**n, "amplitudes")
-    return QubitState(amps, check_norm=check_norm)
+    return QubitState(amps, norm=norm)
 
 
 def validate_unitary(U) -> np.ndarray:

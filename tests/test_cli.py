@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from qhyper import cli
+from qhyper import ValidationError, cli
 from qhyper.cli import main, run_bench
 
 PSI = "1/2|000> - 1/2|100> + 1/sqrt(2)|101>"
@@ -118,6 +118,74 @@ def test_parse_renormalize_infinite_amplitude_exit_code(tmp_path, capsys):
     path = put(tmp_path, "inf.ket", "1e400|0> + 1|1>")
     assert main(["parse", "--in", path, "--renormalize"]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, expect",
+    [
+        ("sub.ket", "5e-324|1>", [0.0, 1.0]),
+        ("subim.ket", "(0+5e-324i)|1>", [0.0, 1j]),
+        ("subim.json", '{"num_qubits": 1, "amplitudes": '
+         '[{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 5e-324}]}', [0.0, 1j]),
+    ],
+)
+def test_parse_renormalize_subnormal_peak(tmp_path, capsys, name, text, expect):
+    # Complex division by a subnormal peak overflows its reciprocal.
+    code, payload = run_json(capsys, ["parse", "--in", put(tmp_path, name, text), "--renormalize"])
+    assert code == 0
+    assert [complex(a["re"], a["im"]) for a in payload["amplitudes"]] == expect
+
+
+def test_load_state_ket_and_json_agree_under_every_norm(tmp_path):
+    # The same amplitudes as ket text and as state JSON give the same
+    # bits, or the same error, under each policy.
+    vectors = [[0.6, 0.8j], [0.6, 0.0], [0.0, 1e-170, complex(0.0, -3e-200), 0.0], [5e-324j, 0.0]]
+    for k, vec in enumerate(vectors):
+        n = len(vec).bit_length() - 1
+        vec = [complex(z) for z in vec]
+        terms = (
+            f"({z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}i)|{j:0{n}b}>"
+            for j, z in enumerate(vec)
+        )
+        ket = put(tmp_path, f"{k}.ket", " + ".join(terms))
+        amps = [{"re": z.real, "im": z.imag} for z in vec]
+        js = put(tmp_path, f"{k}.json", json.dumps({"num_qubits": n, "amplitudes": amps}))
+        for norm in ("check", "renormalize", "skip"):
+            got = []
+            for path in (ket, js):
+                try:
+                    got.append(cli._load_state(path, norm=norm).amplitudes.tobytes())
+                except ValidationError as exc:
+                    got.append(type(exc))
+            assert got[0] == got[1], (vec, norm)
+    assert cli._load_state(ket, norm="renormalize").amplitudes.tolist() == [1j, 0.0]
+    assert cli._load_state(js, norm="skip").amplitudes.tolist() == [5e-324j, 0.0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 400 + "/1|0>", "1/sqrt(" + "9" * 400 + ")|0>", "1/" + "9" * 5000 + "|0>"],
+    ids=["quotient", "radicand", "denominator"],
+)
+def test_parse_huge_integer_exit_code(tmp_path, capsys, text):
+    assert main(["parse", "--in", put(tmp_path, "big.ket", text)]) == 3
+    assert "number too large in coefficient (at position 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["parse", "--in"], ["svals", "--state"]])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '{"num_qubits": ' + "1" * 5000 + ', "amplitudes": []}',
+        '{"num_qubits": 1, "amplitudes": '
+        '[{"re": ' + "1" * 5000 + ', "im": 0}, {"re": 0, "im": 0}]}',
+    ],
+    ids=["num_qubits", "re"],
+)
+def test_state_json_digit_limit_exit_code(tmp_path, capsys, command, raw):
+    # json.loads raises a plain ValueError past int's 4300-digit limit.
+    assert main(command + [put(tmp_path, "long.json", raw)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["20", "50"])

@@ -54,7 +54,7 @@ def test_state_length_validation():
 def test_state_norm_validation():
     with pytest.raises(ValidationError):
         QubitState([1.0, 1.0])
-    QubitState([1.0, 1.0], check_norm=False)  # diagnostics escape hatch
+    QubitState([1.0, 1.0], norm="skip")  # diagnostics escape hatch
     with pytest.raises(ValidationError):
         QubitState([np.nan, 0.0])
 
@@ -97,7 +97,7 @@ def test_parse_duplicate_kets_are_summed():
     # 0.5 + 0.5 = 1.0 on |0>; the un-renormalized sum has norm^2 = 1.5
     raw = np.array([1.0, 1 / math.sqrt(2)])
     expect = raw / np.linalg.norm(raw)
-    s = parse_ket("0.5|0> + 0.5|0> + 1/sqrt(2)|1>", renormalize=True)
+    s = parse_ket("0.5|0> + 0.5|0> + 1/sqrt(2)|1>", norm="renormalize")
     np.testing.assert_allclose(s.amplitudes, expect, atol=TOL)
     with pytest.raises(ValidationError):
         parse_ket("0.5|0> + 0.5|0> + 1/sqrt(2)|1>")
@@ -148,7 +148,7 @@ SYNTAX_ERRORS = [
 def test_parse_syntax_errors_carry_position():
     for text, position, message in SYNTAX_ERRORS:
         with pytest.raises(KetSyntaxError) as err:
-            parse_ket(text, check_norm=False)
+            parse_ket(text, norm="skip")
         assert (text, str(err.value)) == (text, f"{message} (at position {position})")
         assert err.value.position == position
 
@@ -156,10 +156,10 @@ def test_parse_syntax_errors_carry_position():
 def test_parse_norm_policy():
     with pytest.raises(ValidationError):
         parse_ket("0.6|0>")
-    s = parse_ket("0.6|0>", renormalize=True)
+    s = parse_ket("0.6|0>", norm="renormalize")
     np.testing.assert_allclose(s.amplitudes, [1.0, 0.0], atol=TOL)
     with pytest.raises(ValidationError):
-        parse_ket("|0> - |0>", renormalize=True)  # zero vector
+        parse_ket("|0> - |0>", norm="renormalize")  # zero vector
     # small slack is cleaned up exactly
     s = parse_ket("0.70710678|00> + 0.70710678|11>")
     assert abs(np.vdot(s.amplitudes, s.amplitudes).real - 1.0) <= 1e-15
@@ -174,23 +174,59 @@ def test_parse_norm_policy():
     ],
 )
 def test_parse_renormalize_survives_norm_overflow(text, expect):
-    s = parse_ket(text, renormalize=True)
+    s = parse_ket(text, norm="renormalize")
     np.testing.assert_allclose(s.amplitudes, expect, rtol=0, atol=1e-15)
 
 
 def test_parse_tiny_state_is_not_the_zero_vector():
     with pytest.raises(ValidationError, match="not normalized"):
         parse_ket("1e-170|0>")
-    assert parse_ket("1e-170|0>", check_norm=False).amplitudes[0] == 1e-170
+    assert parse_ket("1e-170|0>", norm="skip").amplitudes[0] == 1e-170
 
 
 def test_parse_renormalize_rejects_infinite_amplitude():
     with pytest.raises(ValidationError, match="finite"):
-        parse_ket("1e400|0> + 1|1>", renormalize=True)
+        parse_ket("1e400|0> + 1|1>", norm="renormalize")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("9" * 400 + "/1|0>", 0),
+        ("|1> - 1/sqrt(" + "9" * 400 + ")|0>", 6),
+        ("1/" + "9" * 5000 + "|0>", 0),
+    ],
+)
+def test_parse_huge_integer_is_a_validation_error(text, position):
+    message = rf"number too large in coefficient \(at position {position}\)"
+    for norm in ("check", "renormalize", "skip"):
+        with pytest.raises(ValidationError, match=message):
+            parse_ket(text, norm=norm)
+
+
+def test_unknown_norm_policy_rejected():
+    obj = {"num_qubits": 1, "amplitudes": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}
+    message = "norm must be 'check', 'renormalize' or 'skip', got 'strict'"
+    for read in (
+        lambda: QubitState([1.0, 0.0], norm="strict"),
+        lambda: parse_ket("|0>", norm="strict"),
+        lambda: state_from_json(obj, norm="strict"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            read()
+
+
+def test_state_from_json_renormalize_rescales():
+    obj = {"num_qubits": 1, "amplitudes": [{"re": 1.2, "im": 0.0}, {"re": 0.0, "im": 1.6}]}
+    with pytest.raises(ValidationError, match="not normalized"):
+        state_from_json(obj)
+    s = state_from_json(obj, norm="renormalize")
+    np.testing.assert_allclose(s.amplitudes, [0.6, 0.8j], rtol=0, atol=1e-15)
+    assert state_from_json(obj, norm="skip").amplitudes.tolist() == [1.2, 1.6j]
 
 
 def test_parse_no_normalize_escape_hatch():
-    s = parse_ket("0.6|0>", check_norm=False)
+    s = parse_ket("0.6|0>", norm="skip")
     np.testing.assert_allclose(s.amplitudes, [0.6, 0.0], atol=0)
 
 

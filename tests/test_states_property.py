@@ -24,11 +24,13 @@ from qhyper.cli import _load_state  # noqa: E402
 decimals = st.builds(
     "{}e{}".format, st.sampled_from(["0", "1", "2.5", ".5", "7.", "0.6"]), st.integers(-400, 400)
 ) | st.sampled_from(["0", "1", "0.6", "0.8", "3"])
+# Digits, and digit runs past the float range (400) and past int's string limit (5000).
+integers = st.integers(0, 9) | st.sampled_from([400, 5000]).map("9".__mul__)
 coefficients = st.one_of(
     st.just(""),
     decimals,
-    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 9)),
-    st.builds("1/sqrt({})".format, st.integers(0, 9)),
+    st.builds("{}/{}".format, integers, integers),
+    st.builds("1/sqrt({})".format, integers),
     st.builds("({}{}{}i)".format, decimals, st.sampled_from("+-"), decimals),
 )
 
@@ -52,29 +54,28 @@ def state_objects(draw):
     return {"num_qubits": n, "amplitudes": amps}
 
 
+norms = st.sampled_from(["check", "renormalize", "skip"])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    text=kets() | st.text("01|<>+-*/.()eisqrt 5", max_size=30),
-    renormalize=st.booleans(),
-    check_norm=st.booleans(),
-)
-def test_parse_ket_returns_state_or_qhyper_error(text, renormalize, check_norm):
+@given(text=kets() | st.text("01|<>+-*/.()eisqrt 5", max_size=30), norm=norms)
+def test_parse_ket_returns_state_or_qhyper_error(text, norm):
     try:
-        state = parse_ket(text, renormalize=renormalize, check_norm=check_norm)
+        state = parse_ket(text, norm=norm)
     except QhyperError:
         return
     assert isinstance(state, QubitState)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(obj=state_objects(), renormalize=st.booleans(), check_norm=st.booleans())
-def test_state_json_returns_state_or_qhyper_error(tmp_path_factory, obj, renormalize, check_norm):
-    # The CLI's --renormalize on state JSON goes through _load_state.
+@given(obj=state_objects(), norm=norms)
+def test_state_json_returns_state_or_qhyper_error(tmp_path_factory, obj, norm):
+    # The CLI reads state JSON through _load_state.
     path = tmp_path_factory.getbasetemp() / "fuzz_state.json"
     path.write_text(json.dumps(obj))
     for read in (
-        lambda: state_from_json(obj, check_norm=check_norm),
-        lambda: _load_state(str(path), renormalize=renormalize, check_norm=check_norm),
+        lambda: state_from_json(obj, norm=norm),
+        lambda: _load_state(str(path), norm=norm),
     ):
         try:
             state = read()
@@ -130,6 +131,6 @@ def test_parse_ket_matches_the_character_loop_oracle(text):
     expect = oracles.ket_amplitudes(text)
     if not expect.any():
         with pytest.raises(ValidationError):
-            parse_ket(text, check_norm=False)
+            parse_ket(text, norm="skip")
         return
-    assert parse_ket(text, check_norm=False).amplitudes.tobytes() == expect.tobytes()
+    assert parse_ket(text, norm="skip").amplitudes.tobytes() == expect.tobytes()

@@ -69,7 +69,7 @@ def write_state(tmp, state):
 @given(amps=st.integers(1, 4).flatmap(lambda n: complex_arrays((2**n,))))
 def test_parse_writes_the_state_json_bytes(tmp_path_factory, amps):
     tmp = tmp_path_factory.getbasetemp()
-    state = QubitState(amps, check_norm=False)
+    state = QubitState(amps, norm="skip")
     got = cli_json(["parse", "--in", write_state(tmp, state), "--no-normalize"], tmp)
     assert got == json.dumps(state_to_json(state), indent=2) + "\n"
 
