@@ -59,16 +59,13 @@ from .states import (
     spin_flip,
     state_from_json,
     state_to_hypermatrix,
-    state_to_json,
 )
 from .tensor import (
     Hypermatrix,
     ModePermutation,
     frobenius_norm,
-    matrix_to_json,
     mode_permute,
     multilinear_multiply,
-    tensor_to_json,
 )
 
 __version__ = "0.1.0"

@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each _cmd_* returns (payload, lines): ``lines`` is None when the command
 # always writes JSON, else an iterable that only text output consumes.  A
-# payload holds complex arrays where the library's *_to_json forms hold
-# {"re", "im"} lists; _emit streams them out as the same bytes.
+# payload holds complex arrays where its JSON holds lists of {"re", "im"}
+# entries; _emit streams them out as those lists.
 
 
 def _cmd_parse(args):

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .tensor import (
     Hypermatrix,
+    _inner,
     frobenius_norm,
     mode_permute,
     multilinear_multiply,
@@ -124,9 +125,9 @@ def mode_factor(H: Hypermatrix, k: int):
     # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves
     # of this view, in another column order, which G does not depend on.
     X = H.data.reshape(math.prod(H.dims[: k - 1]), 2, -1)
-    a = float(np.vdot(X[:, 0], X[:, 0]).real)
-    b = float(np.vdot(X[:, 1], X[:, 1]).real)
-    c = complex(np.vdot(X[:, 1], X[:, 0]))  # G_01 = row0 . conj(row1)
+    row0, row1 = X[:, 0], X[:, 1]
+    a, b = _inner(row0, row0), _inner(row1, row1)
+    c = _inner(row1, row0)  # G_01 = row0 . conj(row1)
     d = a - b
     s = a + b
     r = math.hypot(d, 2.0 * abs(c))
@@ -137,13 +138,11 @@ def mode_factor(H: Hypermatrix, k: int):
         # Degenerate (or zero) spectrum: any orthonormal basis works.
         V = np.eye(2, dtype=np.complex128)
     else:
-        if d >= 0.0:
-            v1 = np.array([0.5 * (r + d), c.conjugate()], dtype=np.complex128)
-        else:
-            v1 = np.array([c, 0.5 * (r - d)], dtype=np.complex128)
-        v1 /= np.linalg.norm(v1)
-        v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-        V = np.column_stack([v1, v2])
+        # The top eigenvector (x, y) is column 1 and (-conj(y), conj(x)) column 2.
+        x, y = (complex(0.5 * (r + d)), c.conjugate()) if d >= 0.0 else (c, complex(0.5 * (r - d)))
+        h = math.hypot(abs(x), abs(y))
+        x, y = x / h, y / h
+        V = np.array([[x, -y.conjugate()], [y, x.conjugate()]])
     V.setflags(write=False)
     svals.setflags(write=False)
     return V, svals
@@ -205,10 +204,11 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     * phases of modes never touched by the support stay at zero.
 
     The factors are rescaled by the conjugate phases so that
-    ``reconstruct()`` is unchanged.  Because the visiting order depends
-    only on entry magnitudes, two cores that differ by such phases
-    canonicalize to the same entries whenever the tie groups are
-    separated by gaps well above ``negligible``.
+    ``reconstruct()`` is unchanged.  The visiting order depends only on
+    entry magnitudes, yet two cores that differ by such phases need not
+    canonicalize alike: a phase zeroed above is a choice, not a gauge fix
+    (on the support {000, 011, 101, 110}, say, no entry differs from the
+    anchor in one mode only).
 
     Returns a new :class:`HosvdResult`.
     """

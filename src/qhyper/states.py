@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
 from .hyperdet import MAX_SIGN_N, hdet_fast, sign_string_sigma
-from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _complex_to_json, _json_int
+from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _json_int
 
 __all__ = [
     "MAX_QUBITS",
@@ -38,7 +39,6 @@ __all__ = [
     "parse_ket",
     "state_to_hypermatrix",
     "hypermatrix_to_state",
-    "state_to_json",
     "state_from_json",
     "apply_local_unitaries",
     "validate_unitary",
@@ -96,7 +96,7 @@ class QubitState:
         if norm == "renormalize":
             amp = _unit_vector(amp)
         elif norm == "check":
-            sq = float(np.vdot(amp, amp).real)
+            sq = _inner(amp, amp)
             if abs(sq - 1.0) > NORM_TOL:
                 raise ValidationError(
                     f"state is not normalized: sum |amp|^2 = {sq!r}"
@@ -116,7 +116,7 @@ class QubitState:
         return int(self._amp.size).bit_length() - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amp))
+        return math.sqrt(_inner(self._amp, self._amp))
 
     def __repr__(self):
         return f"QubitState(num_qubits={self.num_qubits})"
@@ -145,7 +145,13 @@ def _ratio(root, num, den, pos):
             radicand = int(root)
             if not radicand:
                 raise KetSyntaxError("zero radicand in 1/sqrt(...)", pos)
-            return complex(1.0 / math.sqrt(radicand))
+            # A radicand past the float range is shifted by an even power of two and the
+            # root scaled back; a result below the normal range is refused like one past it.
+            half = max(radicand.bit_length() - 1022, 0) // 2
+            value = math.ldexp(1.0 / math.sqrt(radicand >> 2 * half), -half)
+            if value < sys.float_info.min:
+                raise OverflowError
+            return complex(value)
         if not int(den):
             raise KetSyntaxError("zero denominator in fraction", pos)
         return complex(int(num) / int(den))
@@ -211,17 +217,19 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
                 )
             width = len(bits)
             _check_qubit_cap(width)
-        amps[bits] = amps.get(bits, 0.0 + 0.0j) + (-1.0 if sign == "-" else 1.0) * value
+        value = -value if sign == "-" else value
+        # The first value of a label is kept as it is, signed zeros included.
+        amps[bits] = amps[bits] + value if bits in amps else value
     if not amps or text[m.start() :].strip():
         _term_error(text, m.start(), not amps)
 
     vec = np.zeros(2**width, dtype=np.complex128)
     for bits, value in amps.items():
-        vec[int(bits, 2)] += value
+        vec[int(bits, 2)] = value
     if not vec.any():
         raise ValidationError("expression sums to the zero vector")
     if norm == "check":
-        sq = float(np.vdot(vec, vec).real)
+        sq = _inner(vec, vec)
         if abs(sq - 1.0) > PARSE_NORM_SLACK:
             raise ValidationError(
                 f"expression is not normalized: sum |amp|^2 = {sq!r} "
@@ -240,14 +248,14 @@ def _unit_vector(vec):
     They are divided as floats: complex division multiplies by ``1/peak``,
     which overflows when ``peak`` is subnormal.
     """
-    sq = float(np.vdot(vec, vec).real)
+    sq = _inner(vec, vec)
     if not 0.0 < sq < math.inf:
         parts = vec.view(np.float64)
         peak = np.max(np.abs(parts))
         if peak == 0.0:
             raise ValidationError("cannot renormalize the zero vector")
         vec = (parts / peak).view(np.complex128)
-        sq = float(np.vdot(vec, vec).real)
+        sq = _inner(vec, vec)
     return vec / math.sqrt(sq)
 
 
@@ -279,13 +287,8 @@ def hypermatrix_to_state(H: Hypermatrix) -> QubitState:
     return QubitState(H.ravel())
 
 
-def state_to_json(state: QubitState) -> dict:
-    """JSON form: ``{"num_qubits": n, "amplitudes": [{"re", "im"}, ...]}``."""
-    return {"num_qubits": state.num_qubits, "amplitudes": _complex_to_json(state.amplitudes)}
-
-
 def state_from_json(obj, *, norm: str = "check") -> QubitState:
-    """Inverse of :func:`state_to_json`, under the :class:`QubitState` ``norm`` policy."""
+    """State from ``{"num_qubits", "amplitudes"}`` JSON, under the QubitState ``norm`` policy."""
     if not isinstance(obj, dict):
         raise ValidationError("state JSON needs 'num_qubits' and 'amplitudes'")
     n = _json_int(obj.get("num_qubits"), "num_qubits")
@@ -346,7 +349,7 @@ def n_tangle(state: QubitState, via: str = "spinflip") -> float:
     """
     if via == "spinflip":
         flipped = spin_flip(state)
-        return float(abs(np.vdot(state.amplitudes, flipped)) ** 2)
+        return abs(_inner(state.amplitudes, flipped)) ** 2
     if via == "hdet":
         return float(4.0 * abs(hdet_fast(state)) ** 2)
     raise ValidationError(f"via must be 'spinflip' or 'hdet', got {via!r}")
@@ -359,7 +362,7 @@ def random_state(num_qubits: int, seed) -> QubitState:
         raise ValidationError(f"need at least one qubit, got {num_qubits}")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
-    return QubitState(vec / np.linalg.norm(vec))
+    return QubitState(vec, norm="renormalize")
 
 
 def random_su2(seed) -> np.ndarray:

@@ -32,8 +32,6 @@ __all__ = [
     "multilinear_multiply",
     "mode_permute",
     "frobenius_norm",
-    "tensor_to_json",
-    "matrix_to_json",
 ]
 
 MAX_ORDER = 16
@@ -196,21 +194,24 @@ def mode_permute(H: Hypermatrix, perm) -> Hypermatrix:
 
 def frobenius_norm(H: Hypermatrix) -> float:
     """Frobenius norm, the square root of sum |H_i|^2."""
-    return float(np.linalg.norm(H.data.reshape(-1)))
+    return math.sqrt(_inner(H.data, H.data))
 
 
-def tensor_to_json(H: Hypermatrix) -> dict:
-    """JSON form: ``{"dims": [...], "entries": [{"re": .., "im": ..}, ...]}``.
-
-    Entries are listed in row-major order.
+def _inner(u, v):
+    """``sum(conj(u) * v)`` over all entries of two complex128 arrays of one
+    shape, or the real ``sum(|u|^2)`` when ``u is v``: every norm, inner
+    product and Gram entry of the package.  The sums run in NumPy's einsum
+    loops over float64 views, never in BLAS, so their bits do not depend on
+    the BLAS thread count, and the entries are not copied.
     """
-    return {"dims": list(H.dims), "entries": _complex_to_json(H.data)}
-
-
-def matrix_to_json(M) -> dict:
-    """JSON form: ``{"rows": r, "cols": c, "entries": [...]}`` row-major."""
-    arr = _as_matrix(M, "matrix")
-    return {"rows": arr.shape[0], "cols": arr.shape[1], "entries": _complex_to_json(arr)}
+    x = u.reshape(-1, u.shape[-1], 1).view(np.float64)  # (rows, cols, re/im)
+    if u is v:
+        return float(np.einsum("ijk,ijk->", x, x))
+    y = v.reshape(-1, v.shape[-1], 1).view(np.float64)
+    # The imaginary part pairs each part of u with the other part of v; C order
+    # keeps the pairing outermost, so each inner loop runs along the entries.
+    ri, ir = np.einsum("ijk,ijk->k", x, y[..., ::-1], order="C").tolist()
+    return complex(np.einsum("ijk,ijk->", x, y), ri - ir)
 
 
 def _json_int(value, what) -> int:
@@ -224,20 +225,14 @@ def _json_int(value, what) -> int:
     return n
 
 
-def _complex_to_json(arr) -> list:
-    """``[{"re": .., "im": ..}, ...]`` for the entries of ``arr`` in row-major order."""
-    arr = np.ravel(arr)
-    return [{"re": r, "im": i} for r, i in zip(arr.real.tolist(), arr.imag.tolist())]
-
-
 _CHUNK = 1024  # entries rendered per write
 
 
 def _write_json(payload, fh) -> None:
     """Write ``json.dumps(payload, indent=2)`` to ``fh``, where ``payload`` may
-    hold non-empty complex ndarrays in place of :func:`_complex_to_json` lists.
+    hold non-empty complex ndarrays in place of lists of ``{"re", "im"}`` entries.
 
-    Each array becomes the same ``{"re", "im"}`` entries, rendered by a ``%r``
+    Each array becomes those entries, in row-major order, rendered by a ``%r``
     template (the float ``repr`` that ``json`` writes) one chunk at a time, so
     neither the dict list nor the whole text is held.  Anything else that
     ``json`` cannot write raises ``json``'s own ``TypeError``.
@@ -266,7 +261,7 @@ def _write_json(payload, fh) -> None:
 
 
 def _complex_from_json(entries, count, what="entries") -> np.ndarray:
-    """Inverse of :func:`_complex_to_json`: ``count`` entries as a complex128 vector.
+    """``count`` ``{"re", "im"}`` entries as a complex128 vector.
 
     Each entry must be an object whose ``re`` and ``im`` are finite JSON
     numbers (bools, strings, nulls and nested values are rejected).  The

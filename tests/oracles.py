@@ -92,8 +92,10 @@ def ket_amplitudes(text):
     Reads the text one character at a time, with no regular expression:
     an optional sign, then terms ``[coef [*]] |bits>`` joined by '+' or
     '-', whitespace anywhere between tokens.  A coefficient is
-    ``1/sqrt(r)``, ``p/q``, ``(a+bi)`` or a decimal.  Each term adds
-    sign * coefficient into the amplitude of its label, in text order.
+    ``1/sqrt(r)``, ``p/q``, ``(a+bi)`` or a decimal.  A '-' negates
+    its term's coefficient.  The first term of a label sets its amplitude
+    and each later one is added to it, in text order, so signed zeros
+    are kept as written.
     """
     pos = 0
 
@@ -121,9 +123,9 @@ def ket_amplitudes(text):
     terms = []
     skip()
     while pos < len(text):
-        sign = 1.0
+        negate = False
         if text[pos] in "+-":
-            sign = -1.0 if text[pos] == "-" else 1.0
+            negate = text[pos] == "-"
             expect(text[pos])
         coef = None
         if text[pos] == "(":
@@ -156,15 +158,40 @@ def ket_amplitudes(text):
             expect("*")
         expect("|")
         end = text.index(">", pos)
-        terms.append((text[pos:end], sign * (1.0 + 0.0j if coef is None else coef)))
+        value = 1.0 + 0.0j if coef is None else coef
+        terms.append((text[pos:end], -value if negate else value))
         pos = end + 1
         skip()
     width = len(terms[0][0])
     out = np.zeros(2**width, dtype=complex)
+    seen = set()
     for bits, value in terms:
         assert len(bits) == width
-        out[int(bits, 2)] += value
+        j = int(bits, 2)
+        out[j] = out[j] + value if j in seen else value
+        seen.add(j)
     return out
+
+
+def complex_to_json(arr):
+    """``[{"re": .., "im": ..}, ...]`` for the entries of ``arr`` in row-major order."""
+    return [{"re": z.real, "im": z.imag} for z in np.ravel(arr).tolist()]
+
+
+def state_to_json(state):
+    """``{"num_qubits": n, "amplitudes": [...]}``, the state JSON the CLI writes."""
+    return {"num_qubits": state.num_qubits, "amplitudes": complex_to_json(state.amplitudes)}
+
+
+def tensor_to_json(H):
+    """``{"dims": [...], "entries": [...]}``, the core JSON of ``hosvd``."""
+    return {"dims": list(H.dims), "entries": complex_to_json(H.data)}
+
+
+def matrix_to_json(M):
+    """``{"rows": r, "cols": c, "entries": [...]}``, a factor JSON of ``hosvd``."""
+    M = np.asarray(M, dtype=complex)
+    return {"rows": M.shape[0], "cols": M.shape[1], "entries": complex_to_json(M)}
 
 
 def complex_entries(entries):

@@ -140,14 +140,22 @@ def test_load_state_ket_and_json_agree_under_every_norm(tmp_path):
     # The same amplitudes as ket text and as state JSON give the same
     # bits, or the same error, under each policy.
     vectors = [[0.6, 0.8j], [0.6, 0.0], [0.0, 1e-170, complex(0.0, -3e-200), 0.0], [5e-324j, 0.0]]
-    for k, vec in enumerate(vectors):
+    cases = [(vec, None) for vec in vectors] + [
+        # Signed zero parts: as written, from a '-' sign and in a repeated label.
+        ([complex(-0.0, 1.0), 0.0], "(-0.0+1.0i)|0> + 0|1>"),
+        ([complex(1.0, -0.0), 0.0], "(1.0-0.0i)|0> + 0|1>"),
+        ([complex(-0.0, -1.0), 0.0], "-(0.0+1.0i)|0> + 0|1>"),
+        ([complex(-1.0, -0.0), complex(0.0, -0.0)], "-|0> + (0.0-0.0i)|1>"),
+        ([complex(-0.0, 0.6), 0.8], "(-0.0+0.5i)|0> + (-0.0+0.1i)|0> + 0.8|1>"),
+    ]
+    for k, (vec, text) in enumerate(cases):
         n = len(vec).bit_length() - 1
         vec = [complex(z) for z in vec]
         terms = (
             f"({z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}i)|{j:0{n}b}>"
             for j, z in enumerate(vec)
         )
-        ket = put(tmp_path, f"{k}.ket", " + ".join(terms))
+        ket = put(tmp_path, f"{k}.ket", text or " + ".join(terms))
         amps = [{"re": z.real, "im": z.imag} for z in vec]
         js = put(tmp_path, f"{k}.json", json.dumps({"num_qubits": n, "amplitudes": amps}))
         for norm in ("check", "renormalize", "skip"):
@@ -158,13 +166,14 @@ def test_load_state_ket_and_json_agree_under_every_norm(tmp_path):
                 except ValidationError as exc:
                     got.append(type(exc))
             assert got[0] == got[1], (vec, norm)
-    assert cli._load_state(ket, norm="renormalize").amplitudes.tolist() == [1j, 0.0]
-    assert cli._load_state(js, norm="skip").amplitudes.tolist() == [5e-324j, 0.0]
+    # The fourth vector, [5e-324j, 0.0]:
+    assert cli._load_state(str(tmp_path / "3.ket"), norm="renormalize").amplitudes.tolist() == [1j, 0.0]
+    assert cli._load_state(str(tmp_path / "3.json"), norm="skip").amplitudes.tolist() == [5e-324j, 0.0]
 
 
 @pytest.mark.parametrize(
     "text",
-    ["9" * 400 + "/1|0>", "1/sqrt(" + "9" * 400 + ")|0>", "1/" + "9" * 5000 + "|0>"],
+    ["9" * 400 + "/1|0>", "1/sqrt(" + "9" * 700 + ")|0>", "1/" + "9" * 5000 + "|0>"],
     ids=["quotient", "radicand", "denominator"],
 )
 def test_parse_huge_integer_exit_code(tmp_path, capsys, text):

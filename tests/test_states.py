@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,8 @@ from qhyper import (
     spin_flip,
     state_from_json,
     state_to_hypermatrix,
-    state_to_json,
 )
+from oracles import state_to_json
 from qhyper.states import MAX_QUBITS
 
 TOL = 1e-12
@@ -193,7 +194,7 @@ def test_parse_renormalize_rejects_infinite_amplitude():
     "text, position",
     [
         ("9" * 400 + "/1|0>", 0),
-        ("|1> - 1/sqrt(" + "9" * 400 + ")|0>", 6),
+        ("|1> - 1/sqrt(" + "9" * 700 + ")|0>", 6),
         ("1/" + "9" * 5000 + "|0>", 0),
     ],
 )
@@ -202,6 +203,23 @@ def test_parse_huge_integer_is_a_validation_error(text, position):
     for norm in ("check", "renormalize", "skip"):
         with pytest.raises(ValidationError, match=message):
             parse_ket(text, norm=norm)
+
+
+@pytest.mark.parametrize(
+    "radicand, root",
+    [(10**400, 1e-200), (10**615, 10**-307.5), (2**2044, sys.float_info.min)],
+    ids=["10^400", "10^615", "2^2044"],
+)
+def test_parse_inverse_root_past_the_float_range(radicand, root):
+    # 1/sqrt(r) is returned while it is a normal float, r up to ~616 digits.
+    got = parse_ket(f"1/sqrt({radicand})|0> + |1>", norm="skip").amplitudes[0]
+    assert got.imag == 0.0 and abs(got.real - root) <= 4e-16 * root
+
+
+@pytest.mark.parametrize("radicand", [2**2046, 10**616], ids=["2^2046", "10^616"])
+def test_parse_inverse_root_below_the_normal_range_is_refused(radicand):
+    with pytest.raises(ValidationError, match=r"number too large in coefficient \(at position 0\)"):
+        parse_ket(f"1/sqrt({radicand})|0> + |1>", norm="skip")
 
 
 def test_unknown_norm_policy_rejected():

@@ -14,12 +14,11 @@ from qhyper import (
     ModePermutation,
     ValidationError,
     frobenius_norm,
-    matrix_to_json,
     mode_permute,
     multilinear_multiply,
     random_state,
-    tensor_to_json,
 )
+from oracles import matrix_to_json, tensor_to_json
 from qhyper.tensor import _complex_from_json, _json_int, _write_json
 
 TOL = 1e-12

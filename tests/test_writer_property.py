@@ -1,4 +1,4 @@
-"""The CLI's streamed JSON writer against the library's JSON builders.
+"""The CLI's streamed JSON writer against the JSON builders in ``oracles``.
 
 For each shape the CLI writes (a state from ``parse`` and ``permute``,
 the core and factor list of the ``hosvd`` report), the bytes must equal
@@ -17,17 +17,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import matrix_to_json, state_to_json, tensor_to_json  # noqa: E402
 from qhyper import (  # noqa: E402
     Hypermatrix,
     QubitState,
     hosvd,
     hypermatrix_to_state,
-    matrix_to_json,
     mode_permute,
     random_state,
     state_to_hypermatrix,
-    state_to_json,
-    tensor_to_json,
 )
 from qhyper.cli import main  # noqa: E402
 from qhyper.tensor import _write_json  # noqa: E402
