@@ -275,11 +275,12 @@ def run_bench(n: int, reps: int, seed) -> dict:
     """Time hdet_fast against hdet_reduced on random 2n-qubit states.
 
     Returns mean seconds per call for each method and the largest
-    absolute disagreement.
+    absolute disagreement.  ``n`` > 8 raises ``SizeCapError`` before allocating.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     qubits = 2 * int(n)
+    states._check_order_cap(qubits)
     rng = np.random.default_rng(seed)
     trials = []
     for _ in range(reps):

@@ -8,6 +8,8 @@ hyperdeterminant is
 
 which vanishes identically for odd N.  For even N it collapses, after
 fixing s_1 = id, to the reduced sum without the 1/m! prefactor.
+``hdet_general`` and ``hdet_reduced`` enumerate these sums with a peak
+memory of about (m!)^(N-1) * m entries (15 MiB for a (3,)*8 cube).
 
 For a state of 2n qubits and m = 2 the reduced sum collapses further to
 an antidiagonal pairing of the amplitude vector with a sign pattern:
@@ -58,6 +60,7 @@ __all__ = [
 MAX_SIGN_N = 13  # sign strings up to length 4^13
 DENSE_CAP_N = 7  # dense 4^n x 4^n matrices up to n = 7
 TERM_CAP = 10**7  # hard cap on enumerated permutation tuples
+_MAX_SIDE = 3  # largest side the permutation sums enumerate
 _CHI_CHUNK = 1 << 22  # popcount chunk length in chi_signs
 
 _P_BLOCK = np.array([1, -1, -1, 1], dtype=np.int8)
@@ -216,6 +219,8 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
     n = _check_sign_n(n)
     if dense is None:
         dense = n <= 5
+    if dense and n > DENSE_CAP_N:
+        raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
     factor = (-1) ** n
     ent = sign_string_ent(n).signs
     sig = sign_string_sigma(n).signs
@@ -231,8 +236,6 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
 
     dense_ok = None
     if dense:
-        if n > DENSE_CAP_N:
-            raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
         K = np.array([[0, -1], [1, 0]], dtype=np.int8)
         power = np.array([[1]], dtype=np.int8)
         for _ in range(2 * n):
@@ -271,63 +274,53 @@ def fact1_position(k: int, length: int) -> int:
     return 2 ** (k - 1) + 1
 
 
-def _parity(images):
-    """Sign of the permutation j -> images[j] of 0..m-1, from its cycles."""
-    seen = [False] * len(images)
-    transpositions = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        transpositions += length - 1
-    return -1 if transpositions % 2 else 1
-
-
 def _perm_words(m):
-    """``(images, parity)`` for every permutation of 0..m-1."""
-    return [(p, _parity(p)) for p in itertools.permutations(range(m))]
+    """``(words, signs)``: the m! permutations of 0..m-1 as the rows of
+    ``words``, the identity first, and their signs from the inversion count."""
+    words = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    inversions = np.triu(words[:, :, None] > words[:, None, :], 1).sum(axis=(1, 2))
+    return words, (1 - 2 * (inversions % 2)).astype(np.int8)
 
 
-def _cuboid_side(H, cap_side=3):
+def _cuboid_side(H):
     sides = set(H.dims)
     if len(sides) != 1:
         raise ValidationError(f"cuboid hypermatrix required, got dims {H.dims}")
     m = sides.pop()
-    if m > cap_side:
-        raise SizeCapError(f"side length {m} unsupported (cap {cap_side})")
+    if m > _MAX_SIDE:
+        raise SizeCapError(f"side length {m} unsupported (cap {_MAX_SIDE})")
     return m
 
 
 def _perm_sum(H, pinned):
     """Sum over tuples (s_1, ..., s_N) in S_m^N of the signed products
     sgn(s_1) ... sgn(s_N) * prod_j H_{s_1(j) ... s_N(j)}, with s_1 fixed
-    to the identity when ``pinned``.  No 1/m! prefactor."""
+    to the identity when ``pinned``.  No 1/m! prefactor.  Each mode-1
+    word gathers its m factors for every (s_2, ..., s_N) at once."""
     m = _cuboid_side(H)
     N = H.order
-    words = _perm_words(m)
     free = N - 1 if pinned else N
-    if len(words) ** free > TERM_CAP:
+    count = math.factorial(m) ** free
+    if count > TERM_CAP:
         raise SizeCapError(
-            f"(m!)^{'(N-1)' if pinned else 'N'} = {len(words) ** free} "
-            f"exceeds the term cap {TERM_CAP}"
+            f"(m!)^{'(N-1)' if pinned else 'N'} = {count} exceeds the term cap {TERM_CAP}"
         )
-    # itertools.permutations yields the identity first.
-    first = words[:1] if pinned else words
-    data = H.data
+    words, signs = _perm_words(m)
+    # Column t enumerates the tuples (s_2, ..., s_N) row-major: pos[j, t]
+    # is the flat offset of (s_2(j), ..., s_N(j)) in modes 2..N and
+    # sign[t] = sgn(s_2) ... sgn(s_N).
+    pos = np.zeros((m, 1), dtype=np.intp)
+    sign = np.ones(1, dtype=np.int8)
+    for _ in range(N - 1):
+        pos = (pos[:, :, None] * m + words.T[:, None, :]).reshape(m, -1)
+        sign = np.outer(sign, signs).ravel()
+    rows = H.data.reshape(m, -1)
     total = 0.0 + 0.0j
-    for combo in itertools.product(first, *[words] * (N - 1)):
-        sign = 1
-        for _, parity in combo:
-            sign *= parity
-        prod = 1.0 + 0.0j
-        for j in range(m):
-            prod *= data[tuple(images[j] for images, _ in combo)]
-        total += sign * prod
+    for w, s in zip(words[:1] if pinned else words, signs):
+        prod = rows[w[0], pos[0]]
+        for j in range(1, m):
+            prod *= rows[w[j], pos[j]]
+        total += s * np.sum(np.multiply(prod, sign, out=prod))
     return total
 
 

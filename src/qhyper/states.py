@@ -246,7 +246,8 @@ def _unit_vector(vec):
     When the squared norm underflows to 0 or overflows, the real and
     imaginary parts are first divided by the largest of their magnitudes.
     They are divided as floats: complex division multiplies by ``1/peak``,
-    which overflows when ``peak`` is subnormal.
+    which overflows when ``peak`` is subnormal.  The parts are then scaled
+    by ``1/norm`` as floats: complex division's bits, but -0.0 stays -0.0.
     """
     sq = _inner(vec, vec)
     if not 0.0 < sq < math.inf:
@@ -256,7 +257,7 @@ def _unit_vector(vec):
             raise ValidationError("cannot renormalize the zero vector")
         vec = (parts / peak).view(np.complex128)
         sq = _inner(vec, vec)
-    return vec / math.sqrt(sq)
+    return (vec.view(np.float64) * (1.0 / math.sqrt(sq))).view(np.complex128)
 
 
 def _check_order_cap(n):

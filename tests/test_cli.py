@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from qhyper import ValidationError, cli
+from qhyper import QubitState, SizeCapError, ValidationError, cli, parse_ket
 from qhyper.cli import main, run_bench
 
 PSI = "1/2|000> - 1/2|100> + 1/sqrt(2)|101>"
@@ -21,6 +21,11 @@ def put(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def signbits(amps):
+    """Sign bits of the real and imaginary parts, in order."""
+    return [math.copysign(1.0, x) < 0 for z in amps for x in (z.real, z.imag)]
 
 
 def run_json(capsys, argv):
@@ -147,6 +152,8 @@ def test_load_state_ket_and_json_agree_under_every_norm(tmp_path):
         ([complex(-0.0, -1.0), 0.0], "-(0.0+1.0i)|0> + 0|1>"),
         ([complex(-1.0, -0.0), complex(0.0, -0.0)], "-|0> + (0.0-0.0i)|1>"),
         ([complex(-0.0, 0.6), 0.8], "(-0.0+0.5i)|0> + (-0.0+0.1i)|0> + 0.8|1>"),
+        # Rescaled under renormalize only.
+        ([complex(-0.0, 2.0), complex(0.0, -0.0)], "(-0.0+2.0i)|0> + (0.0-0.0i)|1>"),
     ]
     for k, (vec, text) in enumerate(cases):
         n = len(vec).bit_length() - 1
@@ -162,13 +169,22 @@ def test_load_state_ket_and_json_agree_under_every_norm(tmp_path):
             got = []
             for path in (ket, js):
                 try:
-                    got.append(cli._load_state(path, norm=norm).amplitudes.tobytes())
+                    amps = cli._load_state(path, norm=norm).amplitudes
                 except ValidationError as exc:
                     got.append(type(exc))
+                    continue
+                got.append(amps.tobytes())
+                # Every part keeps its sign, zeros included.
+                assert signbits(amps) == signbits(vec), (vec, norm, path)
             assert got[0] == got[1], (vec, norm)
     # The fourth vector, [5e-324j, 0.0]:
     assert cli._load_state(str(tmp_path / "3.ket"), norm="renormalize").amplitudes.tolist() == [1j, 0.0]
     assert cli._load_state(str(tmp_path / "3.json"), norm="skip").amplitudes.tolist() == [5e-324j, 0.0]
+    for state in (
+        QubitState([complex(-0.0, 1.0), 0], norm="renormalize"),
+        parse_ket("(-0.0+1.0i)|0> + 0|1>", norm="renormalize"),
+    ):
+        assert signbits(state.amplitudes) == [True, False, False, False]
 
 
 @pytest.mark.parametrize(
@@ -197,11 +213,24 @@ def test_state_json_digit_limit_exit_code(tmp_path, capsys, command, raw):
     assert "parse error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", ["20", "50"])
+@pytest.mark.parametrize("n", ["9", "20", "50"])
 def test_bench_qubit_cap_exit_code(capsys, n):
-    # 40 and 100 qubits: refused before random_state allocates anything.
+    # 18, 40 and 100 qubits: past the order cap of 16, so refused before
+    # random_state allocates anything.
     assert main(["bench", "--n", n, "--reps", "1"]) == 4
     assert "size cap" in capsys.readouterr().err
+
+
+def test_run_bench_order_cap_checked_before_allocation():
+    # Five 18-qubit states are 20 MiB that the order cap refuses later.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            run_bench(9, 5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_renormalize_and_no_normalize_exclusive(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Sign strings, the antidiagonal identity, and hyperdeterminants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from qhyper import (
     state_to_hypermatrix,
     verify_antidiagonal_identity,
 )
-from qhyper.hyperdet import SignString, _parity
+from qhyper.hyperdet import SignString, _perm_words
 
 TOL = 1e-12
 
@@ -186,6 +188,18 @@ def test_verify_dense_flag():
         verify_antidiagonal_identity(8, dense=True)
 
 
+def test_verify_dense_cap_checked_before_allocation():
+    # n = 12 builds three 4^12-entry strings when the cap is checked late.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            verify_antidiagonal_identity(12, dense=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_verify_factor_is_minus_one_for_single_pair():
     assert verify_antidiagonal_identity(1).factor == -1
 
@@ -220,8 +234,11 @@ def test_permutation_parity_matches_inversion_count():
     import itertools
 
     for m in (3, 4):
-        for images in itertools.permutations(range(m)):
-            assert _parity(images) == oracles.inversion_parity(images)
+        words, signs = _perm_words(m)
+        assert [tuple(w) for w in words.tolist()] == list(itertools.permutations(range(m)))
+        assert words[0].tolist() == list(range(m))  # the identity first
+        for images, sign in zip(words.tolist(), signs.tolist()):
+            assert sign == oracles.inversion_parity(images)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +264,33 @@ def test_hdet_general_matches_enumeration_oracle():
     assert abs(hdet_general(H) - oracles.hdet_enum(H.data)) <= TOL
     H = random_cuboid(3, 4, 21)
     assert abs(hdet_general(H) - oracles.hdet_enum(H.data)) <= 1e-10
+
+
+ORACLE_SHAPES = [(1, order) for order in range(1, 9)]
+ORACLE_SHAPES += [(2, order) for order in range(1, 9)]
+ORACLE_SHAPES += [(3, order) for order in range(1, 6)]
+
+
+@pytest.mark.parametrize("side, order", ORACLE_SHAPES)
+def test_hdet_general_matches_oracle_at_every_order(side, order):
+    H = random_cuboid(side, order, 100 * side + order)
+    expect = oracles.hdet_enum(H.data)
+    assert abs(hdet_general(H) - expect) <= TOL * max(1.0, abs(expect))
+    if order % 2 == 0:
+        assert abs(hdet_reduced(H) - hdet_general(H)) <= TOL * max(1.0, abs(expect))
+
+
+def test_hdet_general_peak_memory_on_largest_side_three_cube():
+    # 6^8 terms: the offsets of modes 2..8 hold 6^7 * 3 entries (~6.4 MiB).
+    H = random_cuboid(3, 8, 90)
+    tracemalloc.start()
+    try:
+        value = hdet_general(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 32 << 20
 
 
 def test_hdet_general_caps():

@@ -29,6 +29,7 @@ from qhyper import (
 )
 from oracles import state_to_json
 from qhyper.states import MAX_QUBITS
+from qhyper.tensor import _inner
 
 TOL = 1e-12
 
@@ -177,6 +178,15 @@ def test_parse_norm_policy():
 def test_parse_renormalize_survives_norm_overflow(text, expect):
     s = parse_ket(text, norm="renormalize")
     np.testing.assert_allclose(s.amplitudes, expect, rtol=0, atol=1e-15)
+
+
+def test_renormalize_keeps_the_bits_of_complex_division():
+    # Scaling the float parts changes only the sign of zero parts.
+    rng = np.random.default_rng(5)
+    for n in range(1, 11):
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        got = QubitState(vec, norm="renormalize").amplitudes
+        assert got.tobytes() == (vec / math.sqrt(_inner(vec, vec))).tobytes()
 
 
 def test_parse_tiny_state_is_not_the_zero_vector():
