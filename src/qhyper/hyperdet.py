@@ -25,6 +25,18 @@ recursions
 sigma string is the antidiagonal of the 2n-fold tensor power of the
 second Pauli matrix, which makes the pairing above proportional to the
 overlap behind the n-tangle.
+
+Both strings are Kronecker powers, so string(n) = string(n - k) (x)
+string(k).  ``hdet_fast`` and the spin-flip ``n_tangle`` use this to
+walk the amplitudes as rows of B = 4^7 entries: row i of the amplitudes
+pairs with row i of the reversed amplitudes (both views), weighted by
+sign i of string(n - 7) times the block string(7).  Complementing all
+2n bits keeps the parity, so the terms of j and of its complement are
+equal and only the rows of the first half are visited, each complement
+pair once; n <= 7 takes one half-block.  Beyond the input the kernels
+hold O(4^7) entries (two 256 KiB complex buffers).  ``chi_signs``
+multiplies a popcount table of one block by the parities of the block
+starts, and the identity checker compares 256 KiB at a time.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ MAX_SIGN_N = 13  # sign strings up to length 4^13
 DENSE_CAP_N = 7  # dense 4^n x 4^n matrices up to n = 7
 TERM_CAP = 10**7  # hard cap on enumerated permutation tuples
 _MAX_SIDE = 3  # largest side the permutation sums enumerate
-_CHI_CHUNK = 1 << 22  # popcount chunk length in chi_signs
+_BLOCK_N = 7  # blocks of 4^7 entries: 256 KiB of complex128
 
 _P_BLOCK = np.array([1, -1, -1, 1], dtype=np.int8)
 _N_BLOCK = -_P_BLOCK
@@ -116,18 +128,29 @@ def chi(bits: str) -> int:
     return 1 if bits.count("1") % 2 == 0 else -1
 
 
+def _doubling(n, base, quarters):
+    """Read-only int8 string of length 4^n from ``base`` by the doubling
+    S -> q0*S q1*S q2*S q3*S, each step written into one preallocated
+    array (quarter 0 last, since it overwrites S)."""
+    s = np.empty(4**n, dtype=np.int8)
+    s[:4] = base
+    size = 4
+    for _ in range(n - 1):
+        head = s[:size]
+        for j in (3, 2, 1, 0):
+            np.multiply(head, quarters[j], out=s[j * size : (j + 1) * size])
+        size *= 4
+    s.setflags(write=False)
+    return s
+
+
 def sign_string_ent(n: int) -> SignString:
     """Sign string of the antidiagonal pairing for 2n qubits.
 
     Built by the doubling S -> S ~S ~S S from the base P = "+--+".
     """
     n = _check_sign_n(n)
-    s = _P_BLOCK
-    for _ in range(n - 1):
-        s = np.concatenate([s, -s, -s, s])
-    s = s.copy()
-    s.setflags(write=False)
-    return SignString(signs=s, n=n, kind="ent")
+    return SignString(signs=_doubling(n, _P_BLOCK, (1, -1, -1, 1)), n=n, kind="ent")
 
 
 def sign_string_sigma(n: int) -> SignString:
@@ -136,28 +159,27 @@ def sign_string_sigma(n: int) -> SignString:
     Built by the doubling S -> ~S S S ~S from the base N = "-++-".
     """
     n = _check_sign_n(n)
-    s = _N_BLOCK
-    for _ in range(n - 1):
-        s = np.concatenate([-s, s, s, -s])
-    s = s.copy()
-    s.setflags(write=False)
-    return SignString(signs=s, n=n, kind="sigma")
+    return SignString(signs=_doubling(n, _N_BLOCK, (-1, 1, 1, -1)), n=n, kind="sigma")
+
+
+def _parity_signs(idx):
+    """+1 where the integer has an even number of ones, else -1, as int8."""
+    return (1 - 2 * (np.bitwise_count(idx) & 1)).astype(np.int8)
 
 
 def chi_signs(n: int) -> np.ndarray:
     """chi evaluated on all 2n-bit strings in lexicographic order.
 
     Computed directly from popcounts, independent of the doubling
-    recursions, in chunks to bound memory.
+    recursions: the parity of j = i * 4^k + r is the parity of i times
+    that of r, so the result is the outer product of the parities of the
+    block starts and a popcount table of one block of 4^k entries.
     """
     n = _check_sign_n(n)
-    size = 4**n
-    out = np.empty(size, dtype=np.int8)
-    for start in range(0, size, _CHI_CHUNK):
-        stop = min(start + _CHI_CHUNK, size)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        ones = np.bitwise_count(idx).astype(np.int8)
-        out[start:stop] = 1 - 2 * (ones & 1)
+    k = min(n, _BLOCK_N)
+    table = _parity_signs(np.arange(4**k, dtype=np.uint64))
+    starts = _parity_signs(np.arange(4 ** (n - k), dtype=np.uint64))
+    out = np.multiply.outer(starts, table).reshape(-1)
     out.setflags(write=False)
     return out
 
@@ -186,6 +208,23 @@ def sigma_y_dense(n: int) -> np.ndarray:
         raise SizeCapError(f"dense matrices are capped at n = {DENSE_CAP_N}, got {n}")
     signs = sign_string_sigma(n).signs.astype(np.float64)
     return np.fliplr(np.diag(signs))
+
+
+def _first_difference(x, y, factor):
+    """Index of the first entry where the int8 strings ``x != factor * y``,
+    or None.
+
+    Compared in chunks of up to 16 * 4^7 entries (256 KiB) through two
+    preallocated chunk buffers, so no full-length temporary is built.
+    """
+    step = min(x.size, 16 * 4**_BLOCK_N)
+    scaled = np.empty(step, dtype=np.int8)
+    same = np.empty(step, dtype=bool)
+    for start in range(0, x.size, step):
+        np.multiply(y[start : start + step], factor, out=scaled)
+        if not np.equal(x[start : start + step], scaled, out=same).all():
+            return start + int(np.argmin(same))
+    return None
 
 
 @dataclass(frozen=True)
@@ -223,16 +262,11 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
         raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
     factor = (-1) ** n
     ent = sign_string_ent(n).signs
-    sig = sign_string_sigma(n).signs
-    string_diff = np.nonzero(ent != factor * sig)[0]
-    string_ok = string_diff.size == 0
-    chi_diff = np.nonzero(ent != chi_signs(n))[0]
-    chi_ok = chi_diff.size == 0
-    first = None
-    if not string_ok:
-        first = int(string_diff[0])
-    elif not chi_ok:
-        first = int(chi_diff[0])
+    string_at = _first_difference(ent, sign_string_sigma(n).signs, factor)
+    chi_at = _first_difference(ent, chi_signs(n), 1)
+    string_ok = string_at is None
+    chi_ok = chi_at is None
+    first = chi_at if string_ok else string_at
 
     dense_ok = None
     if dense:
@@ -347,18 +381,43 @@ def hdet_reduced(H: Hypermatrix) -> complex:
     return complex(_perm_sum(H, True))
 
 
+def _pair_rows(amp, string):
+    """The antidiagonal pairing of a 2n-qubit amplitude vector as rows,
+    each complement pair once: ``(signs, rows, mates, weights)``.
+
+    ``string`` is ``sign_string_ent`` or ``sign_string_sigma``; both factor
+    as string(n) = string(n - 7) (x) string(7).  Row i of ``rows`` holds
+    the amplitudes j = i * 4^7 + r, row i of ``mates`` those of their
+    complements 4^n - 1 - j, and the sign of j is ``signs[i] * weights[r]``
+    (``weights`` as complex128).  Only the first half of the rows is
+    returned, or the first half-block when n <= 7; both are views of
+    ``amp``.
+    """
+    q = amp.size.bit_length() - 1
+    if q % 2:
+        raise ValidationError(f"defined for an even number of qubits, got {q}")
+    n = _check_sign_n(q // 2)
+    if n <= _BLOCK_N:
+        signs, block = np.ones(1, dtype=np.int8), string(n).signs[: amp.size // 2]
+    else:
+        signs, block = string(n - _BLOCK_N).signs[: 4 ** (n - _BLOCK_N) // 2], string(_BLOCK_N).signs
+    rows, mates = (a.reshape(-1, block.size)[: signs.size] for a in (amp, amp[::-1]))
+    return signs, rows, mates, block.astype(np.complex128)
+
+
 def hdet_fast(state) -> complex:
     """Hyperdeterminant of a 2n-qubit state via the antidiagonal pairing.
 
     Equals ``hdet_reduced`` on the amplitude hypermatrix but runs in
-    O(4^n): half the sign-weighted sum of products of amplitudes with
-    their bit-complement partners.
+    O(4^n): the ent-sign-weighted sum of products of amplitudes with
+    their bit-complement partners, each complement pair once (the half
+    of the full pairing, whose two terms per pair are equal).  Summed
+    one row of 4^7 entries at a time, without BLAS.
     """
-    if state.num_qubits % 2:
-        raise ValidationError(
-            f"defined for an even number of qubits, got {state.num_qubits}"
-        )
-    n = state.num_qubits // 2
-    signs = sign_string_ent(n).signs
-    amp = state.amplitudes
-    return complex(0.5 * np.sum(signs * amp * amp[::-1]))
+    signs, rows, mates, weights = _pair_rows(state.amplitudes, sign_string_ent)
+    buf = np.empty_like(weights)
+    sums = np.empty(len(rows), dtype=np.complex128)
+    for i, (row, mate) in enumerate(zip(rows, mates)):
+        np.multiply(row, mate, out=buf)
+        sums[i] = np.multiply(buf, weights, out=buf).sum()
+    return complex(np.sum(sums * signs))

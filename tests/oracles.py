@@ -257,6 +257,29 @@ def chi_py(index):
     return 1 if bin(index).count("1") % 2 == 0 else -1
 
 
+def chi_signs_popcount(n):
+    """chi on all 2n-bit strings in order, one popcount per index, as int8."""
+    ones = np.bitwise_count(np.arange(4**n, dtype=np.uint64))
+    return (1 - 2 * (ones & 1)).astype(np.int8)
+
+
+def sign_string_concat(n, base, quarters):
+    """The 4^n doubling S -> q0*S q1*S q2*S q3*S from ``base``, one
+    concatenation per step."""
+    s = np.array(base, dtype=np.int8)
+    for _ in range(n - 1):
+        s = np.concatenate([q * s for q in quarters])
+    return s
+
+
+def pairing_full(amplitudes):
+    """Full-vector pairing sum_j chi(j) a_j a_{~j} over all 4^n indices;
+    the hyperdeterminant is half of it and the n-tangle its squared modulus."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    signs = chi_signs_popcount((amplitudes.size.bit_length() - 1) // 2)
+    return complex(np.sum(signs * amplitudes * amplitudes[::-1]))
+
+
 def pauli_y_power(num_qubits):
     """Complex Kronecker power of [[0, -i], [i, 0]]."""
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -18,8 +18,8 @@ import qhyper
 SCRIPT = r"""
 import hashlib, json
 import numpy as np
-from qhyper import (apply_local_unitaries, frobenius_norm, hosvd, lu_equivalence, mode_permute,
-                    n_tangle, random_state, random_su2, state_to_hypermatrix, QubitState)
+from qhyper import (apply_local_unitaries, frobenius_norm, hdet_fast, hosvd, lu_equivalence,
+                    mode_permute, n_tangle, random_state, random_su2, state_to_hypermatrix, QubitState)
 
 out = {}
 
@@ -43,6 +43,8 @@ for n in (14, 16):
         put(f"lu_equivalence/{name}/{n}", v.tag.value, v.certificate, v.detail)
 s = random_state(20, 1020)
 put("n_tangle/20", n_tangle(s))
+put("n_tangle_hdet/20", n_tangle(s, via="hdet"))
+put("hdet_fast/20", hdet_fast(s))
 print(json.dumps(out))
 """
 
@@ -60,5 +62,5 @@ def _digests(threads):
 
 def test_results_do_not_depend_on_the_blas_thread_count():
     one, two = _digests(1), _digests(2)
-    assert len(one) == 11
+    assert len(one) == 13
     assert {k for k in one if one[k] != two[k]} == set()

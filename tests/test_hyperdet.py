@@ -8,6 +8,7 @@ import pytest
 import oracles
 from qhyper import (
     Hypermatrix,
+    QubitState,
     SizeCapError,
     ValidationError,
     chi,
@@ -17,6 +18,7 @@ from qhyper import (
     hdet_fast,
     hdet_general,
     hdet_reduced,
+    n_tangle,
     parse_ket,
     random_state,
     sigma_y_dense,
@@ -25,6 +27,7 @@ from qhyper import (
     state_to_hypermatrix,
     verify_antidiagonal_identity,
 )
+from qhyper import hyperdet
 from qhyper.hyperdet import SignString, _perm_words
 
 TOL = 1e-12
@@ -125,6 +128,31 @@ def test_sign_strings_are_immutable():
         sign_string_ent(2).signs[0] = -1
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_sign_strings_match_concatenated_doubling(n):
+    for string, base, quarters in (
+        (sign_string_ent(n), [1, -1, -1, 1], (1, -1, -1, 1)),
+        (sign_string_sigma(n), [-1, 1, 1, -1], (-1, 1, 1, -1)),
+    ):
+        expect = oracles.sign_string_concat(n, base, quarters)
+        assert string.signs.dtype == np.int8
+        assert string.signs.tobytes() == expect.tobytes()
+        assert not string.signs.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_chi_signs_match_popcount_oracle(n):
+    got = chi_signs(n)
+    assert got.dtype == np.int8
+    assert got.tobytes() == oracles.chi_signs_popcount(n).tobytes()
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chi_signs_match_pure_python_parity(n):
+    assert chi_signs(n).tolist() == [oracles.chi_py(j) for j in range(4**n)]
+
+
 # ---------------------------------------------------------------------------
 # dense matrices
 
@@ -198,6 +226,41 @@ def test_verify_dense_cap_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _flipped(signs, index):
+    out = np.array(signs)
+    out[index] = -out[index]
+    return out
+
+
+# n = 10 spans four comparison chunks of 4^9 entries.
+PLANTED = (0, 4**10 // 2 + 3, 4**10 - 1)
+
+
+@pytest.mark.parametrize("index", PLANTED)
+def test_verify_reports_a_planted_chi_mismatch(monkeypatch, index):
+    real = hyperdet.chi_signs
+    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), index))
+    report = verify_antidiagonal_identity(10)
+    assert (report.string_ok, report.chi_ok, report.passed) == (True, False, False)
+    assert report.first_mismatch == index
+
+
+@pytest.mark.parametrize("index", PLANTED)
+def test_verify_reports_the_string_mismatch_first(monkeypatch, index):
+    # A chi mismatch at another index, earlier or later, must not win.
+    other = PLANTED[(PLANTED.index(index) + 1) % len(PLANTED)]
+    real_chi, real_sigma = hyperdet.chi_signs, hyperdet.sign_string_sigma
+    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real_chi(n), other))
+    monkeypatch.setattr(
+        hyperdet,
+        "sign_string_sigma",
+        lambda n: SignString(_flipped(real_sigma(n).signs, index), n, "sigma"),
+    )
+    report = verify_antidiagonal_identity(10)
+    assert (report.string_ok, report.chi_ok, report.passed) == (False, False, False)
+    assert report.first_mismatch == index
 
 
 def test_verify_factor_is_minus_one_for_single_pair():
@@ -336,6 +399,35 @@ def test_hdet_fast_eight_term_expansion():
     signs = [1, -1, -1, 1, -1, 1, 1, -1]
     expect = sum(signs[j] * a[j] * a[15 - j] for j in range(8))
     assert abs(hdet_fast(s) - expect) <= TOL
+
+
+@pytest.mark.parametrize("num_qubits", [16, 18])
+def test_pairing_kernels_match_full_vector_reference(num_qubits):
+    # 16 and 18 qubits walk 2 and 8 rows of 4^7 entries.
+    rng = np.random.default_rng(80 + num_qubits)
+    ghz = np.zeros(2**num_qubits)
+    ghz[[0, -1]] = 2**-0.5
+    states = [random_state(num_qubits, rng.integers(2**63)) for _ in range(3)]
+    for s in states + [QubitState(ghz)]:
+        pairing = oracles.pairing_full(s.amplitudes)
+        assert abs(hdet_fast(s) - pairing / 2) <= 1e-12 * abs(pairing / 2)
+        for via in ("spinflip", "hdet"):
+            assert abs(n_tangle(s, via=via) - abs(pairing) ** 2) <= 1e-12 * abs(pairing) ** 2
+
+
+@pytest.mark.parametrize("via", ["hdet_fast", "n_tangle"])
+def test_pairing_kernels_peak_memory_at_20_qubits(via):
+    # One full-length complex temporary at 20 qubits is 16 MiB; the row
+    # walk holds two 256 KiB buffers.
+    s = random_state(20, 90)
+    call = hdet_fast if via == "hdet_fast" else lambda s: n_tangle(s, via="spinflip")
+    tracemalloc.start()
+    try:
+        call(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_hdet_known_values():
