@@ -27,16 +27,18 @@ second Pauli matrix, which makes the pairing above proportional to the
 overlap behind the n-tangle.
 
 Both strings are Kronecker powers, so string(n) = string(n - k) (x)
-string(k).  ``hdet_fast`` and the spin-flip ``n_tangle`` use this to
-walk the amplitudes as rows of B = 4^7 entries: row i of the amplitudes
-pairs with row i of the reversed amplitudes (both views), weighted by
-sign i of string(n - 7) times the block string(7).  Complementing all
-2n bits keeps the parity, so the terms of j and of its complement are
-equal and only the rows of the first half are visited, each complement
-pair once; n <= 7 takes one half-block.  Beyond the input the kernels
-hold O(4^7) entries (two 256 KiB complex buffers).  ``chi_signs``
-multiplies a popcount table of one block by the parities of the block
-starts, and the identity checker compares 256 KiB at a time.
+string(k).  One pairing kernel uses this to walk the amplitudes as rows
+of B = 4^7 entries: row i of the amplitudes pairs with row i of the
+reversed amplitudes (both views), weighted by sign i of string(n - 7)
+times the block string(7).  Complementing all 2n bits keeps the parity,
+so the terms of j and of its complement are equal and only the rows of
+the first half are visited, each complement pair once; n <= 7 takes one
+half-block.  ``hdet_fast`` runs it with the ent string and the spin-flip
+``n_tangle`` with the sigma string, whose pairing is the conjugate of
+the overlap.  Beyond the input it holds O(4^7) entries (two 256 KiB
+complex buffers).  ``chi_signs`` multiplies a popcount table of one
+block by the parities of the block starts, and the identity checker
+compares ent with sigma and chi in one pass of 256 KiB chunks.
 """
 
 from __future__ import annotations
@@ -100,9 +102,8 @@ class SignString:
         return self.signs.size
 
     def as_string(self) -> str:
-        """Render as '+'/'-' characters."""
-        lut = np.array(["-", "+"])
-        return "".join(lut[(self.signs > 0).astype(np.int8)])
+        """Render as '+'/'-' characters ('-' for anything not > 0)."""
+        return np.where(self.signs > 0, b"+", b"-").tobytes().decode("ascii")
 
     def block_string(self) -> str:
         """Render as 'P'/'N' blocks of four; every block must be one of them."""
@@ -111,8 +112,7 @@ class SignString:
         is_n = np.all(quads == _N_BLOCK, axis=1)
         if not np.all(is_p | is_n):
             raise ValidationError("string does not decompose into P/N blocks")
-        lut = np.array(["N", "P"])
-        return "".join(lut[is_p.astype(np.int8)])
+        return np.where(is_p, b"P", b"N").tobytes().decode("ascii")
 
 
 def chi(bits: str) -> int:
@@ -130,15 +130,19 @@ def chi(bits: str) -> int:
 
 def _doubling(n, base, quarters):
     """Read-only int8 string of length 4^n from ``base`` by the doubling
-    S -> q0*S q1*S q2*S q3*S, each step written into one preallocated
-    array (quarter 0 last, since it overwrites S)."""
+    S -> q0*S q1*S q2*S q3*S with each q = +-1, each step written into one
+    preallocated array (quarter 0 last, since it overwrites S)."""
     s = np.empty(4**n, dtype=np.int8)
     s[:4] = base
     size = 4
     for _ in range(n - 1):
         head = s[:size]
         for j in (3, 2, 1, 0):
-            np.multiply(head, quarters[j], out=s[j * size : (j + 1) * size])
+            quarter = s[j * size : (j + 1) * size]
+            if quarters[j] > 0:
+                np.copyto(quarter, head)
+            else:
+                np.negative(head, out=quarter)
         size *= 4
     s.setflags(write=False)
     return s
@@ -210,21 +214,27 @@ def sigma_y_dense(n: int) -> np.ndarray:
     return np.fliplr(np.diag(signs))
 
 
-def _first_difference(x, y, factor):
-    """Index of the first entry where the int8 strings ``x != factor * y``,
-    or None.
-
-    Compared in chunks of up to 16 * 4^7 entries (256 KiB) through two
-    preallocated chunk buffers, so no full-length temporary is built.
+def _first_differences(ent, sigma, chi, factor):
+    """``[string_at, chi_at]``: the first index where ``ent != factor * sigma``
+    and where ``ent != chi``, or None.  One pass over chunks of up to 16 * 4^7
+    entries (256 KiB), eight entries at a time through int64 views (int8 when
+    a chunk is shorter than a word); the index is found only in a differing chunk.
     """
-    step = min(x.size, 16 * 4**_BLOCK_N)
-    scaled = np.empty(step, dtype=np.int8)
-    same = np.empty(step, dtype=bool)
-    for start in range(0, x.size, step):
-        np.multiply(y[start : start + step], factor, out=scaled)
-        if not np.equal(x[start : start + step], scaled, out=same).all():
-            return start + int(np.argmin(same))
-    return None
+    step = min(ent.size, 16 * 4**_BLOCK_N)
+    word = np.int64 if step % 8 == 0 else np.int8
+    flipped = np.empty(step, dtype=np.int8)
+    found = [None, None]
+    for start in range(0, ent.size, step):
+        x = ent[start : start + step]
+        y = sigma[start : start + step]
+        if factor < 0:
+            y = np.negative(y, out=flipped)
+        for k, other in enumerate((y, chi[start : start + step])):
+            if found[k] is None and not (x.view(word) == other.view(word)).all():
+                found[k] = start + int(np.argmin(x == other))
+        if None not in found:
+            break
+    return found
 
 
 @dataclass(frozen=True)
@@ -262,8 +272,7 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
         raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
     factor = (-1) ** n
     ent = sign_string_ent(n).signs
-    string_at = _first_difference(ent, sign_string_sigma(n).signs, factor)
-    chi_at = _first_difference(ent, chi_signs(n), 1)
+    string_at, chi_at = _first_differences(ent, sign_string_sigma(n).signs, chi_signs(n), factor)
     string_ok = string_at is None
     chi_ok = chi_at is None
     first = chi_at if string_ok else string_at
@@ -316,6 +325,19 @@ def _perm_words(m):
     return words, (1 - 2 * (inversions % 2)).astype(np.int8)
 
 
+def _perm_tables(m, N):
+    """``(pos, sign)`` over (s_2, ..., s_N) in S_m^(N-1), row-major in column
+    t: pos[j, t] is the flat offset of (s_2(j), ..., s_N(j)) in modes 2..N,
+    sign[t] = sgn(s_2) ... sgn(s_N).  Built from mode N out, long axis inner."""
+    words, signs = _perm_words(m)
+    pos = np.zeros((m, 1), dtype=np.intp)
+    sign = np.ones(1, dtype=np.int8)
+    for k in range(N - 1):
+        pos = (words.T[:, :, None] * m**k + pos[:, None, :]).reshape(m, -1)
+        sign = np.multiply.outer(signs, sign).ravel()
+    return pos, sign
+
+
 def _cuboid_side(H):
     sides = set(H.dims)
     if len(sides) != 1:
@@ -340,14 +362,7 @@ def _perm_sum(H, pinned):
             f"(m!)^{'(N-1)' if pinned else 'N'} = {count} exceeds the term cap {TERM_CAP}"
         )
     words, signs = _perm_words(m)
-    # Column t enumerates the tuples (s_2, ..., s_N) row-major: pos[j, t]
-    # is the flat offset of (s_2(j), ..., s_N(j)) in modes 2..N and
-    # sign[t] = sgn(s_2) ... sgn(s_N).
-    pos = np.zeros((m, 1), dtype=np.intp)
-    sign = np.ones(1, dtype=np.int8)
-    for _ in range(N - 1):
-        pos = (pos[:, :, None] * m + words.T[:, None, :]).reshape(m, -1)
-        sign = np.outer(sign, signs).ravel()
+    pos, sign = _perm_tables(m, N)
     rows = H.data.reshape(m, -1)
     total = 0.0 + 0.0j
     for w, s in zip(words[:1] if pinned else words, signs):
@@ -381,17 +396,15 @@ def hdet_reduced(H: Hypermatrix) -> complex:
     return complex(_perm_sum(H, True))
 
 
-def _pair_rows(amp, string):
-    """The antidiagonal pairing of a 2n-qubit amplitude vector as rows,
-    each complement pair once: ``(signs, rows, mates, weights)``.
+def _pairing(amp, string):
+    """Half the antidiagonal pairing sum_j string(j) a_j a_{4^n-1-j} of a
+    2n-qubit amplitude vector: each complement pair once, its two terms
+    being equal.  ``string`` is ``sign_string_ent`` or ``sign_string_sigma``.
 
-    ``string`` is ``sign_string_ent`` or ``sign_string_sigma``; both factor
-    as string(n) = string(n - 7) (x) string(7).  Row i of ``rows`` holds
-    the amplitudes j = i * 4^7 + r, row i of ``mates`` those of their
-    complements 4^n - 1 - j, and the sign of j is ``signs[i] * weights[r]``
-    (``weights`` as complex128).  Only the first half of the rows is
-    returned, or the first half-block when n <= 7; both are views of
-    ``amp``.
+    Row i of the first half of the rows of 4^7 entries (of the first
+    half-block when n <= 7) is multiplied by row i of the reversed
+    amplitudes and the block string(7) in one buffer, summed without BLAS
+    and weighted by sign i of string(n - 7).
     """
     q = amp.size.bit_length() - 1
     if q % 2:
@@ -402,7 +415,13 @@ def _pair_rows(amp, string):
     else:
         signs, block = string(n - _BLOCK_N).signs[: 4 ** (n - _BLOCK_N) // 2], string(_BLOCK_N).signs
     rows, mates = (a.reshape(-1, block.size)[: signs.size] for a in (amp, amp[::-1]))
-    return signs, rows, mates, block.astype(np.complex128)
+    weights = block.astype(np.complex128)
+    buf = np.empty_like(weights)
+    sums = np.empty(len(rows), dtype=np.complex128)
+    for i, (row, mate) in enumerate(zip(rows, mates)):
+        np.multiply(row, mate, out=buf)
+        sums[i] = np.multiply(buf, weights, out=buf).sum()
+    return complex(np.sum(sums * signs))
 
 
 def hdet_fast(state) -> complex:
@@ -414,10 +433,4 @@ def hdet_fast(state) -> complex:
     of the full pairing, whose two terms per pair are equal).  Summed
     one row of 4^7 entries at a time, without BLAS.
     """
-    signs, rows, mates, weights = _pair_rows(state.amplitudes, sign_string_ent)
-    buf = np.empty_like(weights)
-    sums = np.empty(len(rows), dtype=np.complex128)
-    for i, (row, mate) in enumerate(zip(rows, mates)):
-        np.multiply(row, mate, out=buf)
-        sums[i] = np.multiply(buf, weights, out=buf).sum()
-    return complex(np.sum(sums * signs))
+    return _pairing(state.amplitudes, sign_string_ent)

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
-from .hyperdet import MAX_SIGN_N, _pair_rows, hdet_fast, sign_string_sigma
+from .hyperdet import MAX_SIGN_N, _pairing, hdet_fast, sign_string_sigma
 from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _json_int
 
 __all__ = [
@@ -345,19 +345,14 @@ def n_tangle(state: QubitState, via: str = "spinflip") -> float:
     """Squared overlap of a 2n-qubit state with its spin flip.
 
     ``via='spinflip'`` evaluates |<state, spin_flip(state)>|^2 from the
-    sigma signs, one row of 4^7 entries of the spin flip at a time, each
-    complement pair once (the two terms of a pair are equal, so the
-    overlap is twice that sum); ``via='hdet'`` evaluates
-    4 |hdet_fast(state)|^2.  The two agree identically.
+    sigma signs: sigma is real, so the overlap is the conjugate of the
+    sigma pairing sum_j sigma(j) a_j a_{~j}, which is twice the pairing
+    kernel's sum over each complement pair once; ``via='hdet'`` evaluates
+    4 |hdet_fast(state)|^2.  Since sigma = (-1)^n ent, the two routes run
+    the same kernel and are bit-equal.
     """
     if via == "spinflip":
-        signs, rows, mates, weights = _pair_rows(state.amplitudes, sign_string_sigma)
-        buf = np.empty_like(weights)
-        sums = np.empty(len(rows), dtype=np.complex128)
-        for i, (row, mate) in enumerate(zip(rows, mates)):
-            np.conjugate(mate, out=buf)
-            sums[i] = _inner(row, np.multiply(buf, weights, out=buf))
-        return abs(2.0 * complex(np.sum(sums * signs))) ** 2
+        return abs(2.0 * _pairing(state.amplitudes, sign_string_sigma)) ** 2
     if via == "hdet":
         return float(4.0 * abs(hdet_fast(state)) ** 2)
     raise ValidationError(f"via must be 'spinflip' or 'hdet', got {via!r}")

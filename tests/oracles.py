@@ -252,6 +252,38 @@ def hdet_enum(data):
     return total / math.factorial(m)
 
 
+def perm_tables_loop(m, order):
+    """``(pos, sign)`` for every tuple (s_2, ..., s_N) in S_m^(N-1), N =
+    ``order``, in ``itertools.product`` order: ``pos[j, t]`` is the flat
+    offset of (s_2(j), ..., s_N(j)) in modes 2..N, mode N fastest, and
+    ``sign[t]`` the product of the inversion parities."""
+    perms = list(itertools.permutations(range(m)))
+    tuples = list(itertools.product(perms, repeat=order - 1))
+    pos = np.zeros((m, len(tuples)), dtype=np.intp)
+    sign = np.ones(len(tuples), dtype=np.int8)
+    for t, tup in enumerate(tuples):
+        for j in range(m):
+            offset = 0
+            for p in tup:
+                offset = offset * m + p[j]
+            pos[j, t] = offset
+        for p in tup:
+            sign[t] *= inversion_parity(p)
+    return pos, sign
+
+
+def render_signs(signs):
+    """'+' for each entry > 0 and '-' for anything else, one character at a time."""
+    return "".join("+" if v > 0 else "-" for v in signs.tolist())
+
+
+def render_blocks(signs):
+    """'P' for each block of four equal to +--+ and 'N' for -++-, one block at a time."""
+    names = {(1, -1, -1, 1): "P", (-1, 1, 1, -1): "N"}
+    values = signs.tolist()
+    return "".join(names[tuple(values[i : i + 4])] for i in range(0, len(values), 4))
+
+
 def chi_py(index):
     """Parity sign of an integer's popcount, pure Python."""
     return 1 if bin(index).count("1") % 2 == 0 else -1

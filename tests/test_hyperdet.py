@@ -28,7 +28,7 @@ from qhyper import (
     verify_antidiagonal_identity,
 )
 from qhyper import hyperdet
-from qhyper.hyperdet import SignString, _perm_words
+from qhyper.hyperdet import SignString, _perm_tables, _perm_words
 
 TOL = 1e-12
 
@@ -112,6 +112,34 @@ def test_block_string_requires_pn_blocks():
     bad = SignString(signs=np.array([1, 1, 1, 1], dtype=np.int8), n=1, kind="ent")
     with pytest.raises(ValidationError):
         bad.block_string()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sign_string_rendering_matches_character_loop(n):
+    for string in (sign_string_ent(n), sign_string_sigma(n)):
+        assert string.as_string() == oracles.render_signs(string.signs)
+        assert string.block_string() == oracles.render_blocks(string.signs)
+
+
+def test_as_string_renders_anything_not_positive_as_minus():
+    signs = np.array([1, 0, -1, 127, -128, 2, 0, 1] * 2, dtype=np.int8)
+    odd = SignString(signs=signs, n=2, kind="ent")
+    assert odd.as_string() == oracles.render_signs(signs) == "+--+-+-+" * 2
+
+
+def test_sign_string_rendering_peak_memory_at_n10():
+    # 4^10 characters are 1 MiB of text; rendering them as a '<U1' array
+    # and joining it one character at a time held over 100 MiB.
+    string = sign_string_ent(10)
+    tracemalloc.start()
+    try:
+        text, blocks = string.as_string(), string.block_string()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(text), len(blocks)) == (4**10, 4**9)
+    assert text[:8] == "+--+-++-" and blocks[:4] == "PNNP"
+    assert peak < 6 << 20
 
 
 def test_sign_string_caps():
@@ -234,6 +262,15 @@ def _flipped(signs, index):
     return out
 
 
+def _plant_sigma(monkeypatch, index):
+    real = hyperdet.sign_string_sigma
+    monkeypatch.setattr(
+        hyperdet,
+        "sign_string_sigma",
+        lambda n: SignString(_flipped(real(n).signs, index), n, "sigma"),
+    )
+
+
 # n = 10 spans four comparison chunks of 4^9 entries.
 PLANTED = (0, 4**10 // 2 + 3, 4**10 - 1)
 
@@ -251,16 +288,48 @@ def test_verify_reports_a_planted_chi_mismatch(monkeypatch, index):
 def test_verify_reports_the_string_mismatch_first(monkeypatch, index):
     # A chi mismatch at another index, earlier or later, must not win.
     other = PLANTED[(PLANTED.index(index) + 1) % len(PLANTED)]
-    real_chi, real_sigma = hyperdet.chi_signs, hyperdet.sign_string_sigma
+    real_chi = hyperdet.chi_signs
     monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real_chi(n), other))
-    monkeypatch.setattr(
-        hyperdet,
-        "sign_string_sigma",
-        lambda n: SignString(_flipped(real_sigma(n).signs, index), n, "sigma"),
-    )
+    _plant_sigma(monkeypatch, index)
     report = verify_antidiagonal_identity(10)
     assert (report.string_ok, report.chi_ok, report.passed) == (False, False, False)
     assert report.first_mismatch == index
+
+
+# Odd n compares ent with the negated sigma; n = 1 and 2 are one chunk
+# of 4 and 16 entries; n = 11 spans sixteen chunks.
+PLANTED_ANY_N = [
+    (1, 0), (1, 3), (2, 5), (2, 15), (9, 4**9 // 2 + 1), (9, 4**9 - 1),
+    (11, 0), (11, 4**11 // 2 + 3), (11, 4**11 - 1),
+]
+
+
+@pytest.mark.parametrize("n, index", PLANTED_ANY_N)
+def test_verify_reports_a_planted_chi_mismatch_at_any_n(monkeypatch, n, index):
+    real = hyperdet.chi_signs
+    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), index))
+    report = verify_antidiagonal_identity(n)
+    assert (report.string_ok, report.chi_ok, report.passed) == (True, False, False)
+    assert report.first_mismatch == index
+
+
+@pytest.mark.parametrize("n, index", PLANTED_ANY_N)
+def test_verify_reports_a_planted_string_mismatch_at_any_n(monkeypatch, n, index):
+    _plant_sigma(monkeypatch, index)
+    report = verify_antidiagonal_identity(n)
+    assert (report.string_ok, report.chi_ok, report.passed) == (False, True, False)
+    assert report.first_mismatch == index
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11])
+@pytest.mark.parametrize("string_at, chi_at", [(3, 1), (1, 3), (2, 2)])
+def test_verify_string_mismatch_wins_within_one_chunk(monkeypatch, n, string_at, chi_at):
+    real = hyperdet.chi_signs
+    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), chi_at))
+    _plant_sigma(monkeypatch, string_at)
+    report = verify_antidiagonal_identity(n)
+    assert (report.string_ok, report.chi_ok, report.passed) == (False, False, False)
+    assert report.first_mismatch == string_at
 
 
 def test_verify_factor_is_minus_one_for_single_pair():
@@ -302,6 +371,16 @@ def test_permutation_parity_matches_inversion_count():
         assert words[0].tolist() == list(range(m))  # the identity first
         for images, sign in zip(words.tolist(), signs.tolist()):
             assert sign == oracles.inversion_parity(images)
+
+
+@pytest.mark.parametrize("m, order", [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 6)])
+def test_perm_tables_match_loop_oracle(m, order):
+    pos, sign = _perm_tables(m, order)
+    expect_pos, expect_sign = oracles.perm_tables_loop(m, order)
+    assert (pos.dtype, pos.shape) == (expect_pos.dtype, expect_pos.shape)
+    assert (sign.dtype, sign.shape) == (expect_sign.dtype, expect_sign.shape)
+    assert pos.tobytes() == expect_pos.tobytes()
+    assert sign.tobytes() == expect_sign.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,33 @@ def test_tangle_routes_agree(half_n):
         assert -1e-15 <= a <= 1 + 1e-9
 
 
+def _tangle_cases(num_qubits, rng):
+    """A random complex, a random real, a GHZ and a sparse state."""
+    size = 2**num_qubits
+    ghz = np.zeros(size)
+    ghz[[0, -1]] = 1.0
+    sparse = np.zeros(size, dtype=complex)
+    picks = rng.choice(size, size=min(size, 6), replace=False)
+    sparse[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(picks.size)
+    sparse[size - 1 - picks[0]] += 0.5  # at least one complement pair
+    vectors = (rng.standard_normal(size), ghz, sparse)
+    return [random_state(num_qubits, rng.integers(2**63))] + [
+        QubitState(v, norm="renormalize") for v in vectors
+    ]
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 17, 2))
+def test_spinflip_tangle_matches_an_independent_overlap(num_qubits):
+    # The route no longer forms the overlap; it is formed here from the
+    # full spin-flipped vector.
+    rng = np.random.default_rng(50 + num_qubits)
+    for s in _tangle_cases(num_qubits, rng):
+        expect = abs(np.vdot(s.amplitudes, spin_flip(s))) ** 2
+        got = n_tangle(s, via="spinflip")
+        assert abs(got - expect) <= 1e-12 * expect
+        assert got == n_tangle(s, via="hdet")  # one kernel: the same bits
+
+
 def test_tangle_known_values_from_enumeration():
     bell = parse_ket("1/sqrt(2)|00> + 1/sqrt(2)|11>")
     ghz4 = parse_ket("1/sqrt(2)|0000> + 1/sqrt(2)|1111>")
