@@ -18,7 +18,9 @@ aligned by any relabeling of the qubit slots prove two states
 inequivalent.  An alignment plus matching cores after a deterministic
 phase canonicalization certifies equivalence (a permuted tensor with
 the same core is reachable by local unitaries); the remaining cases
-are reported as inconclusive rather than guessed.
+are reported as inconclusive rather than guessed.  The canonical phases
+come from the largest core entry and its single-flip neighbours where
+those are large enough, and from a magnitude-ordered walk otherwise.
 
 The equivalence test decomposes each input once.  The HOSVD commutes
 with mode permutation, so the HOSVD of a relabelled copy of A is A's
@@ -32,7 +34,6 @@ alignment exists.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ DEGENERACY_GAP = 1e-6
 RELABEL_CAP = 720
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HosvdResult:
     """Factors, core and per-mode singular values of a HOSVD.
 
@@ -183,20 +184,30 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     The factors of a non-degenerate HOSVD are unique only up to a unit
     phase per column, which multiplies core entries by phases of the form
     g * prod_{k in F} rho_k, where F is the set of modes in which an
-    entry's index differs from a reference entry.  This routine chooses
-    those phases deterministically from the core itself.  Every mode
-    must have length 2 (as for :func:`hosvd`), so F is the set of bits
-    in which two row-major indices differ.
+    entry's index differs from a reference entry, the anchor, which is
+    made real positive.  Every mode must have length 2 (as for
+    :func:`hosvd`), so F is the set of bits in which two indices differ.
 
-    Entries with magnitude above ``negligible`` are sorted by
-    descending magnitude and cut into tie groups: a new group starts
+    When no other entry lies within ``negligible`` of the largest, that
+    entry is the anchor, and each mode k whose single-flip neighbour (the
+    anchor's index with mode k's bit flipped) exceeds ``negligible`` and
+    top^2 * 4 eps * (1 + sum_m 1/gap_m) / negligible, with gap_m =
+    (s1^2 - s2^2) / (s1^2 + s2^2), is pinned to make that neighbour real
+    positive.  This floor keeps the phase error that a neighbour carries
+    into any entry below ``negligible``: its roundoff is a few eps, and
+    each mode-m factor, fixed to about eps / gap_m, mixes in that share
+    of the other mode-m slice.  The floor is near 1e-3 of top for generic
+    12-16-qubit states; a degenerate spectrum leaves every mode to the walk.
+
+    The modes left free (all of them when the top is tied) are pinned
+    by a walk.  Entries with magnitude above ``negligible`` are sorted
+    by descending magnitude and cut into tie groups: a new group starts
     wherever the next magnitude is smaller by more than ``negligible``.
     Within a group the smaller row-major index comes first, so cores
     that are equal in exact arithmetic are visited in the same order
     whatever their roundoff.  Then:
 
-    * the first entry (the smallest index of the top group) is made
-      real positive and serves as the reference;
+    * the first entry (the smallest index of the top group) is the anchor;
     * the remaining entries are visited in that order; each visit pins
       the phase of one still-free mode so the visited entry becomes
       real positive, zeroing the extra phases first when an entry
@@ -204,11 +215,11 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     * phases of modes never touched by the support stay at zero.
 
     The factors are rescaled by the conjugate phases so that
-    ``reconstruct()`` is unchanged.  The visiting order depends only on
-    entry magnitudes, yet two cores that differ by such phases need not
-    canonicalize alike: a phase zeroed above is a choice, not a gauge fix
-    (on the support {000, 011, 101, 110}, say, no entry differs from the
-    anchor in one mode only).
+    ``reconstruct()`` is unchanged.  The pinning depends only on entry
+    magnitudes and the mode spectra, yet two cores that differ by such
+    phases need not canonicalize alike: a phase zeroed above is a
+    choice, not a gauge fix (on the support {000, 011, 101, 110}, say,
+    no entry differs from the anchor in one mode only).
 
     Returns a new :class:`HosvdResult`.
     """
@@ -216,58 +227,67 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     n = core.ndim
     flat = core.reshape(-1)
     mags = np.abs(flat)
-    top = float(mags.max())
+    anchor = int(np.argmax(mags))
+    top = float(mags[anchor])
     if top <= 0.0:
         return result
-    # The largest entry always counts, so there is an anchor even when
-    # every entry is negligible.
-    keep = mags > negligible
-    keep[np.argmax(mags)] = True
-    support = np.flatnonzero(keep)
-    support = support[np.argsort(-mags[support])]
-    # A new tie group starts wherever the magnitude drops by more than
-    # ``negligible``; within a group the smaller index comes first.  The
-    # group numbers are non-decreasing and every index is below 2^n, so
-    # one key orders by group, then by index.
-    group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
-    support = support[np.argsort(group << n | support)]
-    anchor = int(support[0])
-    support = support[1:]
     g = -cmath.phase(flat[anchor])
-
-    # Mode k is bit n-1-k of a row-major index, so the modes in which
-    # entry i differs from the anchor are the set bits of i ^ anchor.
-    flips = support ^ anchor
     rho = [0.0] * n
     free = (1 << n) - 1  # bits of the modes not yet pinned
-    for _ in range(n):  # every round pins at least one mode
-        counts = np.bitwise_count(flips & free)
-        single = np.flatnonzero(counts == 1)
-        if single.size:
-            j = int(single[0])
-            flip = int(flips[j])
-            k = n - (flip & free).bit_length()
-            theta = cmath.phase(flat[support[j]]) + g
-            theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
-            rho[k] = -theta
-            free &= ~flip
-        elif counts.any():
-            # The largest remaining entry touches several free modes:
-            # keep only its smallest free mode adjustable, zero the others.
-            mask = int(flips[np.argmax(counts > 0)]) & free
-            free &= ~mask | 1 << (mask.bit_length() - 1)
-        else:
-            break
+    # The walk's tie-group test below: no second entry in the top group.
+    if np.count_nonzero(mags - top >= -negligible) == 1:
+        lam = np.square(result.mode_svals)
+        gap = lam[:, 0] - lam[:, 1]
+        cond = 1.0 + np.sum(lam.sum(axis=1) / gap) if gap.all() else np.inf
+        floor = top * top * 4 * np.finfo(float).eps * cond / negligible
+        bits = 1 << np.arange(n - 1, -1, -1)  # mode k is bit n-1-k of an index
+        pin = mags[anchor ^ bits] > max(negligible, floor)
+        rho = np.where(pin, -(np.angle(flat[anchor ^ bits]) + g), 0.0).tolist()
+        free ^= int(bits[pin].sum())
+    if free:
+        keep = mags > negligible  # and the largest entry, however small
+        keep[anchor] = True
+        support = np.flatnonzero(keep)
+        support = support[np.argsort(-mags[support])]
+        # A new tie group starts wherever the magnitude drops by more than ``negligible``;
+        # within a group the smaller index comes first.  The group numbers are non-decreasing
+        # and every index is below 2^n, so one key orders by group, then by index.
+        group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
+        support = support[np.argsort(group << n | support)]
+        anchor = int(support[0])
+        support = support[1:]
+        g = -cmath.phase(flat[anchor])
+        flips = support ^ anchor  # entry i differs from the anchor in the modes set here
+        for _ in range(n):  # every round pins at least one mode
+            counts = np.bitwise_count(flips & free)
+            single = np.flatnonzero(counts == 1)
+            if single.size:
+                j = int(single[0])
+                flip = int(flips[j])
+                k = n - (flip & free).bit_length()
+                theta = cmath.phase(flat[support[j]]) + g
+                theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
+                rho[k] = -theta
+                free &= ~flip
+            elif counts.any():
+                # The largest remaining entry touches several free modes:
+                # keep only its smallest free mode adjustable, zero the others.
+                mask = int(flips[np.argmax(counts > 0)]) & free
+                free &= ~mask | 1 << (mask.bit_length() - 1)
+            else:
+                break
 
     phases = np.ones((n, 2), dtype=np.complex128)
     for k in range(n):
         phases[k, 1 - (anchor >> (n - 1 - k) & 1)] = cmath.exp(1j * rho[k])
     phases[0] *= cmath.exp(1j * g)
-    # The outer product of the per-mode phases has the core's shape, so
-    # the core is multiplied once.
+    # Entry i gets the product of phases[k, bit k of i], built from the last (fastest) mode up.
+    table = np.ones(1, dtype=np.complex128)
+    for pk in phases[::-1]:
+        table = (pk[:, None] * table).ravel()
     return HosvdResult(
-        factors=tuple(V * np.conj(pk)[None, :] for V, pk in zip(result.factors, phases)),
-        core=Hypermatrix._wrap(core * functools.reduce(np.multiply.outer, phases)),
+        factors=tuple(V * pk.conj() for V, pk in zip(result.factors, phases)),
+        core=Hypermatrix._wrap((flat * table).reshape(core.shape)),
         mode_svals=result.mode_svals,
     )
 
@@ -278,7 +298,7 @@ class LuTag(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SvalCertificate:
     """Witness of inequivalence: a mode whose singular values differ."""
 
@@ -287,7 +307,7 @@ class SvalCertificate:
     svals_b: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LuVerdict:
     tag: LuTag
     certificate: SvalCertificate | None = None

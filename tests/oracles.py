@@ -351,19 +351,14 @@ def random_sl2(rng):
             return A / np.sqrt(det)
 
 
-def canonical_core_walk(core, negligible):
-    """Phase-canonical qubit HOSVD core by a per-entry walk.
+def canonical_order(core, negligible):
+    """Row-major indices a canonical core walk visits, anchor first.
 
     The largest entry and every entry above ``negligible`` are sorted by
     descending magnitude into tie groups (a new group wherever the
     magnitude drops by more than ``negligible``), smaller row-major index
-    first within a group.  The first entry is made real positive.  Each
-    later entry whose index differs from the first in at most one
-    unpinned mode pins that mode so the entry becomes real positive;
-    when no pending entry qualifies, every unpinned mode of the first
-    pending entry but the smallest is pinned to phase zero.
+    first within a group.
     """
-    n = core.ndim
     flat = core.reshape(-1)
     mags = np.abs(flat)
     biggest = int(np.argmax(mags))
@@ -377,7 +372,51 @@ def canonical_core_walk(core, negligible):
             group += 1
         prev = mags[i]
         keyed.append((group, i))
-    order = [i for _, i in sorted(keyed)]
+    return [i for _, i in sorted(keyed)]
+
+
+def neighbour_pins(core, negligible, svals):
+    """{zero-based mode k: index} of the anchor's single-flip neighbours
+    that pin their mode's phase; empty when the top is tied.
+
+    With gap_m = (s1^2 - s2^2) / (s1^2 + s2^2) per mode, a neighbour pins
+    mode k when its magnitude exceeds ``negligible`` and
+    top^2 * 4 eps * (1 + sum_m 1 / gap_m) / negligible, and the anchor is
+    the only entry within ``negligible`` of the top magnitude.
+    """
+    n = core.ndim
+    flat = core.reshape(-1)
+    mags = np.abs(flat)
+    anchor = int(np.argmax(mags))
+    top = mags[anchor]
+    if sum(1 for i in range(flat.size) if not top - mags[i] > negligible) != 1:
+        return {}
+    cond = 1.0
+    for s1, s2 in svals:
+        cond += (s1 * s1 + s2 * s2) / (s1 * s1 - s2 * s2) if s1 * s1 > s2 * s2 else math.inf
+    floor = max(negligible, top * top * 4 * np.finfo(float).eps * cond / negligible)
+    pins = {}
+    for k in range(n):
+        neighbour = anchor ^ 1 << (n - 1 - k)
+        if mags[neighbour] > floor:
+            pins[k] = neighbour
+    return pins
+
+
+def canonical_core_walk(core, negligible, svals):
+    """Phase-canonical qubit HOSVD core by a per-entry walk.
+
+    The first entry of :func:`canonical_order` is made real positive.
+    Each mode in :func:`neighbour_pins` is pinned so its neighbour
+    becomes real positive.  Then each later entry whose index differs
+    from the first in at most one unpinned mode pins that mode so the
+    entry becomes real positive; when no pending entry qualifies, every
+    unpinned mode of the first pending entry but the smallest is pinned
+    to phase zero.
+    """
+    n = core.ndim
+    flat = core.reshape(-1)
+    order = canonical_order(core, negligible)
     anchor = order[0]
     g = -cmath.phase(flat[anchor])
 
@@ -385,6 +424,8 @@ def canonical_core_walk(core, negligible):
         return [k for k in range(n) if (i ^ anchor) >> (n - 1 - k) & 1]
 
     rho = [None] * n
+    for k, neighbour in neighbour_pins(core, negligible, svals).items():
+        rho[k] = -(cmath.phase(flat[neighbour]) + g)
     pending = order[1:]
     while pending:
         for i in pending:

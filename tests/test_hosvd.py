@@ -1,5 +1,6 @@
 """Closed-form qubit HOSVD, fingerprints, canonicalization, equivalence."""
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -339,7 +340,7 @@ def test_canonicalize_matches_per_entry_walk(kind, negligible):
         psi = _test_state(kind, n, rng)
         psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
         res = hosvd(state_to_hypermatrix(psi))
-        expect = oracles.canonical_core_walk(res.core.data, negligible)
+        expect = oracles.canonical_core_walk(res.core.data, negligible, res.mode_svals)
         got = canonicalize_core(res, negligible=negligible).core.data
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
@@ -354,7 +355,7 @@ def test_canonicalize_matches_per_entry_walk_wide(kind, n):
     psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
     res = hosvd(state_to_hypermatrix(psi))
     for negligible in (2.5e-11, 1e-3):
-        expect = oracles.canonical_core_walk(res.core.data, negligible)
+        expect = oracles.canonical_core_walk(res.core.data, negligible, res.mode_svals)
         got = canonicalize_core(res, negligible=negligible).core.data
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
@@ -372,7 +373,97 @@ def test_canonicalize_planted_tie_groups():
     )
     got = canonicalize_core(res).core.data
     assert got.reshape(-1)[5] == pytest.approx(0.8)
-    np.testing.assert_allclose(got, oracles.canonical_core_walk(res.core.data, TOL / 4), atol=1e-15)
+    expect = oracles.canonical_core_walk(res.core.data, TOL / 4, res.mode_svals)
+    np.testing.assert_allclose(got, expect, atol=1e-15)
+
+
+def _planted(entries, n=3):
+    # Mode spectra (0.9, 0.4) everywhere: the neighbour floor is ~1.3e-4 for a top of 0.8.
+    flat = np.zeros(2**n, dtype=complex)
+    for i, mag, phase in entries:
+        flat[i] = mag * np.exp(1j * phase)
+    return HosvdResult(
+        factors=(np.eye(2, dtype=complex),) * n,
+        core=Hypermatrix(flat.reshape((2,) * n)),
+        mode_svals=(np.array([0.9, 0.4]),) * n,
+    )
+
+
+def _canonical_against_oracle(res, negligible=TOL / 4):
+    got = canonicalize_core(res, negligible=negligible)
+    expect = oracles.canonical_core_walk(res.core.data, negligible, res.mode_svals)
+    np.testing.assert_allclose(got.core.data, expect, rtol=0, atol=1e-15)
+    return got.core.data.reshape(-1)
+
+
+def _real_positive(z):
+    return abs(z.imag) <= 1e-12 and z.real > 0
+
+
+def test_canonicalize_walk_pins_modes_whose_neighbour_is_below_the_floor():
+    # Anchor 000.  Its neighbours 100 and 001 clear the floor; 010 is above
+    # negligible but below the floor, so the walk pins mode 2 from 110.
+    res = _planted([(0, 0.8, 0.3), (4, 0.5, 1.1), (1, 0.4, -0.7), (2, 1e-6, 2.0), (6, 0.3, -2.5)])
+    assert oracles.neighbour_pins(res.core.data, TOL / 4, res.mode_svals) == {0: 4, 2: 1}
+    got = _canonical_against_oracle(res)
+    assert all(_real_positive(got[i]) for i in (0, 4, 1, 6))
+    assert not _real_positive(got[2])
+
+
+def test_canonicalize_tied_top_takes_the_walk():
+    # 101 is the largest entry, but 011 lies within negligible of it: the
+    # top is tied, so 011 anchors and no neighbour of 101 pins a mode.
+    res = _planted(
+        [(5, 0.6, 0.4), (3, 0.6 - 1e-12, -1.0), (1, 0.3, 2.2), (7, 0.2, 0.9), (0, 0.1, -0.3)]
+    )
+    assert int(np.argmax(np.abs(res.core.data))) == 5
+    assert oracles.neighbour_pins(res.core.data, TOL / 4, res.mode_svals) == {}
+    got = _canonical_against_oracle(res)
+    assert all(_real_positive(got[i]) for i in (3, 1, 5, 0))
+    assert not _real_positive(got[7])
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_canonicalize_neighbour_at_or_below_negligible_pins_nothing(scale):
+    # 001 is the anchor's only entry in mode 3, at or below negligible, so
+    # mode 3 keeps phase zero: 001 turns only by the anchor's phase.
+    res = _planted([(0, 0.8, 0.3), (4, 0.5, 1.1), (2, 0.4, -0.7), (1, scale * TOL / 4, 2.0)])
+    assert oracles.neighbour_pins(res.core.data, TOL / 4, res.mode_svals) == {0: 4, 1: 2}
+    got = _canonical_against_oracle(res)
+    assert got[1] == pytest.approx(scale * TOL / 4 * np.exp(1.7j), abs=1e-25)
+
+
+@pytest.mark.parametrize("negligible", [0.05, 1.0])
+@pytest.mark.parametrize("kind", ["generic", "symmetric", "w-like", "sparse"])
+def test_canonicalize_leaves_modes_the_support_never_touches(kind, negligible):
+    # A mode in which every entry above negligible (and the largest) has the
+    # same index bit keeps its factor: nothing may pin it.
+    rng = np.random.default_rng(609)
+    for n in range(1, 9):
+        psi = _test_state(kind, n, rng)
+        psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
+        res = hosvd(state_to_hypermatrix(psi))
+        canon = canonicalize_core(res, negligible=negligible)
+        support = oracles.canonical_order(res.core.data, negligible)
+        for k in range(n):
+            if len({i >> (n - 1 - k) & 1 for i in support}) == 1:
+                # Mode 1 also carries the anchor's phase, on both columns.
+                z = np.vdot(res.factors[k], canon.factors[k]) / 2 if k == 0 else 1.0
+                assert abs(abs(z) - 1.0) <= 1e-15
+                np.testing.assert_allclose(canon.factors[k], z * res.factors[k], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_wide_lu_pairs_canonicalize_to_equal_cores(n):
+    # Generic cores at these sizes have every neighbour above the floor,
+    # so the anchor's neighbours fix every phase.
+    rng = np.random.default_rng(610 + n)
+    H = random_qubit_tensor(rng, n)
+    K = multilinear_multiply([random_su2(rng.integers(2**63)) for _ in range(n)], H)
+    ra, rb = hosvd(H), hosvd(K)
+    assert len(oracles.neighbour_pins(rb.core.data, TOL / 4, rb.mode_svals)) == n
+    ca, cb = canonicalize_core(ra).core, canonicalize_core(rb).core
+    np.testing.assert_allclose(cb.data, ca.data, rtol=0, atol=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +472,20 @@ def test_canonicalize_planted_tie_groups():
 
 def hyper(text):
     return state_to_hypermatrix(parse_ket(text))
+
+
+def test_result_types_are_slotted_and_frozen():
+    psi = hyper("1/2|000> - 1/2|100> + 1/sqrt(2)|101>")
+    verdict = lu_equivalence(psi, hyper("1/2|000> - 1/2|010> + 1/sqrt(2)|101>"))
+    for obj in (verdict, verdict.certificate, hosvd(psi)):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+    assert dataclasses.asdict(verdict.certificate) == {
+        "mode": 1,
+        "svals_a": verdict.certificate.svals_a,
+        "svals_b": verdict.certificate.svals_b,
+    }
 
 
 def test_lu_equivalence_worked_example_triple():

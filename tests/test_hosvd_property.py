@@ -1,4 +1,5 @@
-"""Property test for lu_equivalence on LU-transformed, relabelled copies.
+"""Property tests for canonicalize_core and for lu_equivalence on
+LU-transformed, relabelled copies.
 
 Needs the optional ``hypothesis`` package (``pip install .[test]``); the
 module is skipped without it so the other test modules still run.
@@ -11,9 +12,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qhyper import LuTag, lu_equivalence, lu_fingerprint  # noqa: E402
-from qhyper.hosvd import DEGENERACY_GAP  # noqa: E402
-from test_hosvd import _relabelled_lu_copy, min_relative_gap  # noqa: E402
+import oracles  # noqa: E402
+from qhyper import (  # noqa: E402
+    LuTag,
+    apply_local_unitaries,
+    canonicalize_core,
+    hosvd,
+    lu_equivalence,
+    lu_fingerprint,
+    random_su2,
+    state_to_hypermatrix,
+)
+from qhyper.hosvd import DEFAULT_TOL, DEGENERACY_GAP  # noqa: E402
+from test_hosvd import _relabelled_lu_copy, _test_state, min_relative_gap  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -30,3 +41,29 @@ def test_lu_relabeled_copies_property(kind, n, seed):
     assert tag is not LuTag.NOT_EQUIVALENT
     if min_relative_gap(lu_fingerprint(H)) >= DEGENERACY_GAP:
         assert tag is LuTag.EQUIVALENT_CORE_MATCH
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["generic", "symmetric", "w-like", "sparse"]),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonicalize_core_property(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    psi = _test_state(kind, n, rng)
+    H = state_to_hypermatrix(
+        apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
+    )
+    res = hosvd(H)
+    once = canonicalize_core(res)
+    # The anchor and every neighbour-pinned entry come out real positive.
+    core, negligible = res.core.data, DEFAULT_TOL / 4
+    pinned = [oracles.canonical_order(core, negligible)[0]]
+    pinned += oracles.neighbour_pins(core, negligible, res.mode_svals).values()
+    flat = once.core.data.reshape(-1)
+    for i in pinned:
+        assert abs(flat[i].imag) <= 1e-12 and flat[i].real > 0
+    assert np.max(np.abs(once.reconstruct().data - H.data)) <= DEFAULT_TOL
+    twice = canonicalize_core(once)
+    assert np.max(np.abs(twice.core.data - once.core.data)) <= 1e-12
