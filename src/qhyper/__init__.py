@@ -56,7 +56,6 @@ from .states import (
     parse_ket,
     random_state,
     random_su2,
-    spin_flip,
     state_from_json,
     state_to_hypermatrix,
 )

@@ -75,7 +75,7 @@ def _load_state(path: str, *, norm="check", order_cap=False) -> states.QubitStat
         return states.parse_ket(raw, norm=norm)
     try:
         obj = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, too deep
         raise _ParseError(exc) from None
     if order_cap and isinstance(obj, dict):
         states._check_order_cap(tensor._json_int(obj.get("num_qubits"), "num_qubits"))
@@ -282,25 +282,23 @@ def run_bench(n: int, reps: int, seed) -> dict:
     qubits = 2 * int(n)
     states._check_order_cap(qubits)
     rng = np.random.default_rng(seed)
-    trials = []
-    for _ in range(reps):
-        trials.append(states.random_state(qubits, rng.integers(2**63)))
-    fast_vals, reduced_vals = [], []
-    t0 = time.perf_counter()
-    for st in trials:
-        fast_vals.append(hyperdet.hdet_fast(st))
-    t_fast = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for st in trials:
-        reduced_vals.append(hyperdet.hdet_reduced(states.state_to_hypermatrix(st)))
-    t_reduced = (time.perf_counter() - t0) / reps
-    delta = max(abs(f - r) for f, r in zip(fast_vals, reduced_vals))
+    t_fast = t_reduced = delta = 0.0
+    for _ in range(reps):  # one state at a time, so memory does not grow with reps
+        st = states.random_state(qubits, rng.integers(2**63))
+        t0 = time.perf_counter()
+        fast = hyperdet.hdet_fast(st)
+        t1 = time.perf_counter()
+        reduced = hyperdet.hdet_reduced(states.state_to_hypermatrix(st))
+        t2 = time.perf_counter()
+        t_fast += t1 - t0
+        t_reduced += t2 - t1
+        delta = max(delta, abs(fast - reduced))
     return {
         "n": int(n),
         "qubits": qubits,
         "reps": int(reps),
-        "mean_fast_s": t_fast,
-        "mean_reduced_s": t_reduced,
+        "mean_fast_s": t_fast / reps,
+        "mean_reduced_s": t_reduced / reps,
         "max_abs_delta": float(delta),
     }
 

@@ -27,18 +27,19 @@ second Pauli matrix, which makes the pairing above proportional to the
 overlap behind the n-tangle.
 
 Both strings are Kronecker powers, so string(n) = string(n - k) (x)
-string(k).  One pairing kernel uses this to walk the amplitudes as rows
-of B = 4^7 entries: row i of the amplitudes pairs with row i of the
-reversed amplitudes (both views), weighted by sign i of string(n - 7)
-times the block string(7).  Complementing all 2n bits keeps the parity,
+string(k).  ``hdet_fast`` uses this to walk the amplitudes as rows of
+B = 4^7 entries: row i of the amplitudes pairs with row i of the
+reversed amplitudes (both views), weighted by sign i of ent(n - 7)
+times the block ent(7).  Complementing all 2n bits keeps the parity,
 so the terms of j and of its complement are equal and only the rows of
 the first half are visited, each complement pair once; n <= 7 takes one
-half-block.  ``hdet_fast`` runs it with the ent string and the spin-flip
-``n_tangle`` with the sigma string, whose pairing is the conjugate of
-the overlap.  Beyond the input it holds O(4^7) entries (two 256 KiB
-complex buffers).  ``chi_signs`` multiplies a popcount table of one
-block by the parities of the block starts, and the identity checker
-compares ent with sigma and chi in one pass of 256 KiB chunks.
+half-block.  It is the one pairing kernel: the spin-flip overlap behind
+the n-tangle is (-1)^n times the conjugate of the full pairing, which is
+2 hdet_fast, so the n-tangle is 4 |hdet_fast|^2.  Beyond the input it
+holds O(4^7) entries (two 256 KiB complex buffers).  ``chi_signs``
+multiplies a popcount table of one block by the parities of the block
+starts, and the identity checker compares ent with sigma and chi in one
+pass of 256 KiB chunks.
 """
 
 from __future__ import annotations
@@ -396,24 +397,27 @@ def hdet_reduced(H: Hypermatrix) -> complex:
     return complex(_perm_sum(H, True))
 
 
-def _pairing(amp, string):
-    """Half the antidiagonal pairing sum_j string(j) a_j a_{4^n-1-j} of a
-    2n-qubit amplitude vector: each complement pair once, its two terms
-    being equal.  ``string`` is ``sign_string_ent`` or ``sign_string_sigma``.
+def hdet_fast(state) -> complex:
+    """Hyperdeterminant of a 2n-qubit state via the antidiagonal pairing.
 
-    Row i of the first half of the rows of 4^7 entries (of the first
-    half-block when n <= 7) is multiplied by row i of the reversed
-    amplitudes and the block string(7) in one buffer, summed without BLAS
-    and weighted by sign i of string(n - 7).
+    Equals ``hdet_reduced`` on the amplitude hypermatrix but runs in
+    O(4^n): half the pairing sum_j ent(j) a_j a_{4^n-1-j}, i.e. each
+    complement pair once, its two terms being equal.  Row i of the first
+    half of the rows of 4^7 entries (of the first half-block when n <= 7)
+    is multiplied by row i of the reversed amplitudes and the block
+    ent(7) in one buffer, summed without BLAS and weighted by sign i of
+    ent(n - 7).
     """
+    amp = state.amplitudes
     q = amp.size.bit_length() - 1
     if q % 2:
         raise ValidationError(f"defined for an even number of qubits, got {q}")
     n = _check_sign_n(q // 2)
     if n <= _BLOCK_N:
-        signs, block = np.ones(1, dtype=np.int8), string(n).signs[: amp.size // 2]
+        signs, block = np.ones(1, dtype=np.int8), sign_string_ent(n).signs[: amp.size // 2]
     else:
-        signs, block = string(n - _BLOCK_N).signs[: 4 ** (n - _BLOCK_N) // 2], string(_BLOCK_N).signs
+        signs = sign_string_ent(n - _BLOCK_N).signs[: 4 ** (n - _BLOCK_N) // 2]
+        block = sign_string_ent(_BLOCK_N).signs
     rows, mates = (a.reshape(-1, block.size)[: signs.size] for a in (amp, amp[::-1]))
     weights = block.astype(np.complex128)
     buf = np.empty_like(weights)
@@ -422,15 +426,3 @@ def _pairing(amp, string):
         np.multiply(row, mate, out=buf)
         sums[i] = np.multiply(buf, weights, out=buf).sum()
     return complex(np.sum(sums * signs))
-
-
-def hdet_fast(state) -> complex:
-    """Hyperdeterminant of a 2n-qubit state via the antidiagonal pairing.
-
-    Equals ``hdet_reduced`` on the amplitude hypermatrix but runs in
-    O(4^n): the ent-sign-weighted sum of products of amplitudes with
-    their bit-complement partners, each complement pair once (the half
-    of the full pairing, whose two terms per pair are equal).  Summed
-    one row of 4^7 entries at a time, without BLAS.
-    """
-    return _pairing(state.amplitudes, sign_string_ent)

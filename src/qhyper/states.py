@@ -17,6 +17,9 @@ Ket expressions follow the grammar
 with optional whitespace between tokens.  Repeated basis labels are
 summed.  Decimals may carry an exponent so that amplitudes printed at
 17 significant digits parse back exactly.
+
+The n-tangle of 2n qubits is 4 |hdet_fast|^2, computed by the one
+pairing kernel in ``hyperdet``; the spin-flipped vector is never formed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
-from .hyperdet import MAX_SIGN_N, _pairing, hdet_fast, sign_string_sigma
+from .hyperdet import MAX_SIGN_N, hdet_fast
 from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _json_int
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "state_from_json",
     "apply_local_unitaries",
     "validate_unitary",
-    "spin_flip",
     "n_tangle",
     "random_state",
     "random_su2",
@@ -327,35 +329,17 @@ def apply_local_unitaries(state: QubitState, unitaries) -> QubitState:
     return QubitState(psi)
 
 
-def spin_flip(state: QubitState) -> np.ndarray:
-    """Conjugate the amplitudes and act with the 2n-fold Pauli-y power.
-
-    Component j of the result is the sigma sign of j times the conjugate
-    of the amplitude at the bit-complement of j.  An exact involution.
-    """
-    if state.num_qubits % 2:
-        raise ValidationError(
-            f"defined for an even number of qubits, got {state.num_qubits}"
-        )
-    signs = sign_string_sigma(state.num_qubits // 2).signs
-    return signs * np.conj(state.amplitudes[::-1])
-
-
 def n_tangle(state: QubitState, via: str = "spinflip") -> float:
-    """Squared overlap of a 2n-qubit state with its spin flip.
+    """n-tangle |<state| sigma_y^(2n) |state*>|^2 of a 2n-qubit state.
 
-    ``via='spinflip'`` evaluates |<state, spin_flip(state)>|^2 from the
-    sigma signs: sigma is real, so the overlap is the conjugate of the
-    sigma pairing sum_j sigma(j) a_j a_{~j}, which is twice the pairing
-    kernel's sum over each complement pair once; ``via='hdet'`` evaluates
-    4 |hdet_fast(state)|^2.  Since sigma = (-1)^n ent, the two routes run
-    the same kernel and are bit-equal.
+    The spin-flip overlap is (-1)^n times the conjugate of twice
+    ``hdet_fast(state)``, so the n-tangle is 4 |hdet_fast(state)|^2.
+    ``via`` ('spinflip' or 'hdet') is kept because the CLI echoes it;
+    both values compute that one expression.
     """
-    if via == "spinflip":
-        return abs(2.0 * _pairing(state.amplitudes, sign_string_sigma)) ** 2
-    if via == "hdet":
-        return float(4.0 * abs(hdet_fast(state)) ** 2)
-    raise ValidationError(f"via must be 'spinflip' or 'hdet', got {via!r}")
+    if via not in ("spinflip", "hdet"):
+        raise ValidationError(f"via must be 'spinflip' or 'hdet', got {via!r}")
+    return float(4.0 * abs(hdet_fast(state)) ** 2)
 
 
 def random_state(num_qubits: int, seed) -> QubitState:

@@ -216,13 +216,9 @@ def _inner(u, v):
 
 def _json_int(value, what) -> int:
     """A non-negative integer header field such as ``num_qubits``."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = -1
-    if n < 0:
+    if type(value) is not int or value < 0:
         raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
-    return n
+    return value
 
 
 _CHUNK = 1024  # entries rendered per write

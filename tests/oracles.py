@@ -4,10 +4,10 @@ Everything here is written directly from the defining formulas with
 naive loops or well-tested numpy routines (svd, eigvalsh, kron) and
 shares no code with the package: permutation parity is counted by
 inversions instead of cycles, unfoldings use the explicit column-index
-formula, the spin flip builds the actual complex Kronecker power, and
-outer products, ket strings, ``{"re", "im"}`` entries and mode
-mappings are built by plain loops, and ket text is read one
-character at a time.
+formula, the spin flip builds the actual complex Kronecker power (and,
+looped, its entry formula), and outer products, ket strings,
+``{"re", "im"}`` entries and mode mappings are built by plain loops,
+and ket text is read one character at a time.
 The one exception is :func:`lu_equivalence_recompute`, a reference for
 the relabeling search only: it decomposes every relabelled copy with
 the package's own HOSVD and canonicalization.
@@ -326,6 +326,23 @@ def spin_flip_dense(amplitudes):
     amplitudes = np.asarray(amplitudes, dtype=complex)
     num_qubits = int(math.log2(amplitudes.size))
     return pauli_y_power(num_qubits) @ np.conj(amplitudes)
+
+
+def spin_flip(amplitudes):
+    """Spin flip of 2n qubits from the Pauli-y power's entries, looped.
+
+    Row j of the Pauli-y power has one nonzero, in column ~j (all bits
+    complemented): a factor -i per zero bit of j and +i per one bit,
+    i.e. (-1)^(n + ones(j)) for 2n qubits.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    size = amplitudes.size
+    half_n = (size.bit_length() - 1) // 2
+    out = np.empty(size, dtype=complex)
+    for j in range(size):
+        sign = 1 if (half_n + bin(j).count("1")) % 2 == 0 else -1
+        out[j] = sign * amplitudes[size - 1 - j].conjugate()
+    return out
 
 
 def tangle_enum(amplitudes):

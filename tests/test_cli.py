@@ -4,9 +4,20 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qhyper import QubitState, SizeCapError, ValidationError, cli, parse_ket
+from qhyper import (
+    QubitState,
+    SizeCapError,
+    ValidationError,
+    cli,
+    hdet_fast,
+    hdet_reduced,
+    parse_ket,
+    random_state,
+    state_to_hypermatrix,
+)
 from qhyper.cli import main, run_bench
 
 PSI = "1/2|000> - 1/2|100> + 1/sqrt(2)|101>"
@@ -204,13 +215,16 @@ def test_parse_huge_integer_exit_code(tmp_path, capsys, text):
         '{"num_qubits": ' + "1" * 5000 + ', "amplitudes": []}',
         '{"num_qubits": 1, "amplitudes": '
         '[{"re": ' + "1" * 5000 + ', "im": 0}, {"re": 0, "im": 0}]}',
+        '{"a":' * 100000 + "1" + "}" * 100000,
     ],
-    ids=["num_qubits", "re"],
+    ids=["num_qubits", "re", "nested"],
 )
 def test_state_json_digit_limit_exit_code(tmp_path, capsys, command, raw):
-    # json.loads raises a plain ValueError past int's 4300-digit limit.
+    # json.loads raises a plain ValueError past int's 4300-digit limit, and
+    # a RecursionError past its nesting depth.
     assert main(command + [put(tmp_path, "long.json", raw)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["9", "20", "50"])
@@ -256,6 +270,10 @@ def test_parse_json_keeps_signed_zero_and_float(tmp_path, capsys):
         {"num_qubits": 1, "amplitudes": [{"re": "x", "im": 0}, {"re": 0, "im": 0}]},
         {"num_qubits": 1, "amplitudes": [{"re": 1, "im": None}, {"re": 0, "im": 0}]},
         {"num_qubits": "two", "amplitudes": []},
+        *(
+            {"num_qubits": header, "amplitudes": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}
+            for header in (True, 1.9, "1", 2.0, "x")
+        ),
     ],
 )
 def test_malformed_state_json_exit_code(tmp_path, capsys, obj):
@@ -569,6 +587,29 @@ def test_bench_payload(capsys):
     assert payload["qubits"] == 4 and payload["reps"] == 3
     assert payload["max_abs_delta"] <= 1e-12
     assert payload["mean_fast_s"] > 0.0 and payload["mean_reduced_s"] > 0.0
+
+
+def test_run_bench_memory_does_not_grow_with_reps():
+    # One 12-qubit state (64 KiB) is held at a time, whatever reps is.
+    run_bench(6, 1, seed=0)  # warm-up: sign strings, permutation tables
+    peaks = []
+    for reps in (5, 200):
+        tracemalloc.start()
+        try:
+            run_bench(6, reps, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
+def test_run_bench_delta_over_the_seeded_states():
+    rng = np.random.default_rng(7)
+    delta = 0.0
+    for _ in range(6):
+        s = random_state(8, rng.integers(2**63))
+        delta = max(delta, abs(hdet_fast(s) - hdet_reduced(state_to_hypermatrix(s))))
+    assert run_bench(4, 6, seed=7)["max_abs_delta"] == delta
 
 
 def test_run_bench_validation():

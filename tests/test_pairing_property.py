@@ -1,4 +1,4 @@
-"""Property test of the antidiagonal pairing kernels on their one-block path.
+"""Property test of the antidiagonal pairing kernel on its one-block path.
 
 Up to 14 qubits ``hdet_fast`` and both ``n_tangle`` routes sum one
 half-block; at 2-10 qubits they are checked against the enumeration

@@ -1,4 +1,4 @@
-"""Ket parsing, the state/hypermatrix isomorphism, spin flip, n-tangle."""
+"""Ket parsing, the state/hypermatrix isomorphism, the n-tangle."""
 
 import json
 import math
@@ -23,7 +23,6 @@ from qhyper import (
     parse_ket,
     random_state,
     random_su2,
-    spin_flip,
     state_from_json,
     state_to_hypermatrix,
 )
@@ -353,25 +352,17 @@ def test_apply_local_unitaries_preserves_norm():
 
 @pytest.mark.parametrize("half_n", [1, 2, 3])
 def test_spin_flip_matches_dense_oracle(half_n):
+    # The looped entry formula behind the overlap test, against the
+    # complex Kronecker power.
     rng = np.random.default_rng(46 + half_n)
     for _ in range(10):
         s = random_state(2 * half_n, rng.integers(2**63))
-        got = spin_flip(s)
+        got = oracles.spin_flip(s.amplitudes)
         expect = oracles.spin_flip_dense(s.amplitudes)
         np.testing.assert_allclose(got, expect, atol=TOL)
 
 
-def test_spin_flip_is_exact_involution():
-    rng = np.random.default_rng(47)
-    s = random_state(4, rng)
-    flipped = QubitState(spin_flip(s))
-    again = spin_flip(flipped)
-    np.testing.assert_array_equal(again, s.amplitudes)
-
-
 def test_spin_flip_odd_qubits_rejected():
-    with pytest.raises(ValidationError):
-        spin_flip(parse_ket("|000>"))
     with pytest.raises(ValidationError):
         n_tangle(parse_ket("|000>"))
 
@@ -404,11 +395,11 @@ def _tangle_cases(num_qubits, rng):
 
 @pytest.mark.parametrize("num_qubits", range(2, 17, 2))
 def test_spinflip_tangle_matches_an_independent_overlap(num_qubits):
-    # The route no longer forms the overlap; it is formed here from the
-    # full spin-flipped vector.
+    # n_tangle never forms the overlap; it is formed here from the full
+    # spin-flipped vector of the looped oracle.
     rng = np.random.default_rng(50 + num_qubits)
     for s in _tangle_cases(num_qubits, rng):
-        expect = abs(np.vdot(s.amplitudes, spin_flip(s))) ** 2
+        expect = abs(np.vdot(s.amplitudes, oracles.spin_flip(s.amplitudes))) ** 2
         got = n_tangle(s, via="spinflip")
         assert abs(got - expect) <= 1e-12 * expect
         assert got == n_tangle(s, via="hdet")  # one kernel: the same bits
