@@ -281,7 +281,7 @@ def run_bench(n: int, reps: int, seed) -> dict:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     qubits = 2 * int(n)
     states._check_order_cap(qubits)
-    rng = np.random.default_rng(seed)
+    rng = states._rng(seed)
     t_fast = t_reduced = delta = 0.0
     for _ in range(reps):  # one state at a time, so memory does not grow with reps
         st = states.random_state(qubits, rng.integers(2**63))

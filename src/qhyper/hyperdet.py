@@ -26,20 +26,15 @@ sigma string is the antidiagonal of the 2n-fold tensor power of the
 second Pauli matrix, which makes the pairing above proportional to the
 overlap behind the n-tangle.
 
-Both strings are Kronecker powers, so string(n) = string(n - k) (x)
-string(k).  ``hdet_fast`` uses this to walk the amplitudes as rows of
-B = 4^7 entries: row i of the amplitudes pairs with row i of the
-reversed amplitudes (both views), weighted by sign i of ent(n - 7)
-times the block ent(7).  Complementing all 2n bits keeps the parity,
-so the terms of j and of its complement are equal and only the rows of
-the first half are visited, each complement pair once; n <= 7 takes one
-half-block.  It is the one pairing kernel: the spin-flip overlap behind
-the n-tangle is (-1)^n times the conjugate of the full pairing, which is
-2 hdet_fast, so the n-tangle is 4 |hdet_fast|^2.  Beyond the input it
-holds O(4^7) entries (two 256 KiB complex buffers).  ``chi_signs``
-multiplies a popcount table of one block by the parities of the block
-starts, and the identity checker compares ent with sigma and chi in one
-pass of 256 KiB chunks.
+Since ent = chi, ``hdet_fast`` builds neither string.  It walks the
+first half of the amplitudes in rows of min(4^n / 2, 4^7) entries and
+pairs row i with row i of the reversed amplitudes (both views), weighted
+by a prefix of chi over one block of 4^7 indices (taken once from
+popcounts; ``chi_signs`` reads it too) and by chi(i).  The terms of j and
+of its bit complement are equal, so each complement pair is summed once.
+The spin-flip overlap behind the n-tangle is (-1)^n times the conjugate
+of 2 hdet_fast, so the n-tangle is 4 |hdet_fast|^2.  Beyond the input
+the walk holds two 256 KiB complex buffers.
 """
 
 from __future__ import annotations
@@ -172,47 +167,45 @@ def _parity_signs(idx):
     return (1 - 2 * (np.bitwise_count(idx) & 1)).astype(np.int8)
 
 
+_CHI_BLOCK = _parity_signs(np.arange(4**_BLOCK_N, dtype=np.uint64))  # chi over one block
+_CHI_BLOCK.setflags(write=False)
+
+
 def chi_signs(n: int) -> np.ndarray:
     """chi evaluated on all 2n-bit strings in lexicographic order.
 
     Computed directly from popcounts, independent of the doubling
     recursions: the parity of j = i * 4^k + r is the parity of i times
     that of r, so the result is the outer product of the parities of the
-    block starts and a popcount table of one block of 4^k entries.
+    block starts and the first 4^k entries of the one chi block, k <= 7.
     """
     n = _check_sign_n(n)
     k = min(n, _BLOCK_N)
-    table = _parity_signs(np.arange(4**k, dtype=np.uint64))
     starts = _parity_signs(np.arange(4 ** (n - k), dtype=np.uint64))
-    out = np.multiply.outer(starts, table).reshape(-1)
+    out = np.multiply.outer(starts, _CHI_BLOCK[: 4**k]).reshape(-1)
     out.setflags(write=False)
     return out
 
 
-def ent_matrix_dense(n: int) -> np.ndarray:
-    """Dense 4^n x 4^n antidiagonal matrix with entries +-1/2.
-
-    Row j has its only nonzero in column 4^n - 1 - j, equal to half the
-    ent sign of j.  Real float64; quadratic storage, capped at n = 7.
-    """
+def _antidiagonal(n, string, scale):
+    """Dense 4^n x 4^n float64 matrix whose row j holds ``scale`` times sign j
+    of ``string(n)`` in column 4^n - 1 - j; quadratic storage, capped at n = 7."""
     n = int(n)
     if not 1 <= n <= DENSE_CAP_N:
         raise SizeCapError(f"dense matrices are capped at n = {DENSE_CAP_N}, got {n}")
-    signs = sign_string_ent(n).signs.astype(np.float64)
-    return np.fliplr(np.diag(0.5 * signs))
+    return np.fliplr(np.diag(scale * string(n).signs.astype(np.float64)))
+
+
+def ent_matrix_dense(n: int) -> np.ndarray:
+    """Dense 4^n x 4^n antidiagonal matrix with entries +-1/2: row j holds
+    half the ent sign of j in column 4^n - 1 - j.  Capped at n = 7."""
+    return _antidiagonal(n, sign_string_ent, 0.5)
 
 
 def sigma_y_dense(n: int) -> np.ndarray:
-    """Dense 2n-fold tensor power of the second Pauli matrix (real form).
-
-    Antidiagonal with entries +-1; row j holds sigma sign of j in column
-    4^n - 1 - j.  Capped at n = 7.
-    """
-    n = int(n)
-    if not 1 <= n <= DENSE_CAP_N:
-        raise SizeCapError(f"dense matrices are capped at n = {DENSE_CAP_N}, got {n}")
-    signs = sign_string_sigma(n).signs.astype(np.float64)
-    return np.fliplr(np.diag(signs))
+    """Dense 2n-fold tensor power of the second Pauli matrix (real form):
+    row j holds the sigma sign of j in column 4^n - 1 - j.  Capped at n = 7."""
+    return _antidiagonal(n, sign_string_sigma, 1.0)
 
 
 def _first_differences(ent, sigma, chi, factor):
@@ -401,28 +394,24 @@ def hdet_fast(state) -> complex:
     """Hyperdeterminant of a 2n-qubit state via the antidiagonal pairing.
 
     Equals ``hdet_reduced`` on the amplitude hypermatrix but runs in
-    O(4^n): half the pairing sum_j ent(j) a_j a_{4^n-1-j}, i.e. each
+    O(4^n): half the pairing sum_j chi(j) a_j a_{4^n-1-j}, i.e. each
     complement pair once, its two terms being equal.  Row i of the first
-    half of the rows of 4^7 entries (of the first half-block when n <= 7)
-    is multiplied by row i of the reversed amplitudes and the block
-    ent(7) in one buffer, summed without BLAS and weighted by sign i of
-    ent(n - 7).
+    half of the rows of min(4^n / 2, 4^7) entries is multiplied by row i
+    of the reversed amplitudes and a prefix of the chi block in one
+    buffer, summed without BLAS and weighted by chi(i).
     """
     amp = state.amplitudes
     q = amp.size.bit_length() - 1
     if q % 2:
         raise ValidationError(f"defined for an even number of qubits, got {q}")
-    n = _check_sign_n(q // 2)
-    if n <= _BLOCK_N:
-        signs, block = np.ones(1, dtype=np.int8), sign_string_ent(n).signs[: amp.size // 2]
-    else:
-        signs = sign_string_ent(n - _BLOCK_N).signs[: 4 ** (n - _BLOCK_N) // 2]
-        block = sign_string_ent(_BLOCK_N).signs
-    rows, mates = (a.reshape(-1, block.size)[: signs.size] for a in (amp, amp[::-1]))
-    weights = block.astype(np.complex128)
+    _check_sign_n(q // 2)
+    width = min(amp.size // 2, _CHI_BLOCK.size)
+    count = amp.size // 2 // width
+    rows, mates = (a.reshape(-1, width)[:count] for a in (amp, amp[::-1]))
+    weights = _CHI_BLOCK[:width].astype(np.complex128)
     buf = np.empty_like(weights)
-    sums = np.empty(len(rows), dtype=np.complex128)
+    sums = np.empty(count, dtype=np.complex128)
     for i, (row, mate) in enumerate(zip(rows, mates)):
         np.multiply(row, mate, out=buf)
         sums[i] = np.multiply(buf, weights, out=buf).sum()
-    return complex(np.sum(sums * signs))
+    return complex(np.sum(sums * _parity_signs(np.arange(count, dtype=np.uint64))))

@@ -183,10 +183,11 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
     labels are summed.  ``norm`` is the :class:`QubitState` policy, with
     more slack under ``"check"``: the squared norm of the parsed vector
     must be within ``PARSE_NORM_SLACK`` of 1, and the residual is then
-    divided out exactly (no-op when already within ``NORM_TOL``, so
-    printing and reparsing a valid state is exact).  ``"renormalize"``
-    rescales any nonzero finite vector and ``"skip"`` keeps the parsed
-    amplitudes as they are.
+    rescaled away as under ``"renormalize"`` (no-op when already within
+    ``NORM_TOL``, so printing and reparsing a valid state is exact).
+    ``"renormalize"`` rescales any nonzero finite vector and ``"skip"``
+    keeps the parsed amplitudes as they are.  Every rescale keeps signed
+    zeros, so a ``-0.0`` part stays ``-0.0`` under each policy.
 
     Raises
     ------
@@ -238,7 +239,7 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
                 "(renormalize to rescale)"
             )
         elif abs(sq - 1.0) > NORM_TOL:
-            vec = vec / math.sqrt(sq)
+            norm = "renormalize"
     return QubitState(vec, norm=norm)
 
 
@@ -342,19 +343,27 @@ def n_tangle(state: QubitState, via: str = "spinflip") -> float:
     return float(4.0 * abs(hdet_fast(state)) ** 2)
 
 
+def _rng(seed):
+    """``np.random.default_rng(seed)``; a seed it rejects raises ValidationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid seed {seed!r}: {exc}") from None
+
+
 def random_state(num_qubits: int, seed) -> QubitState:
     """Normalized state with i.i.d. complex Gaussian amplitudes."""
     _check_qubit_cap(num_qubits)
     if num_qubits < 1:
         raise ValidationError(f"need at least one qubit, got {num_qubits}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     vec = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
     return QubitState(vec, norm="renormalize")
 
 
 def random_su2(seed) -> np.ndarray:
     """Haar-random 2x2 special unitary."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     raw = rng.standard_normal(4)
     a = complex(raw[0], raw[1])
     b = complex(raw[2], raw[3])

@@ -235,6 +235,12 @@ def test_bench_qubit_cap_exit_code(capsys, n):
     assert "size cap" in capsys.readouterr().err
 
 
+def test_bench_negative_seed_exit_code(capsys):
+    assert main(["bench", "--n", "2", "--reps", "1", "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid seed -1") and err.count("\n") == 1
+
+
 def test_run_bench_order_cap_checked_before_allocation():
     # Five 18-qubit states are 20 MiB that the order cap refuses later.
     tracemalloc.start()

@@ -480,9 +480,10 @@ def test_hdet_fast_eight_term_expansion():
     assert abs(hdet_fast(s) - expect) <= TOL
 
 
-@pytest.mark.parametrize("num_qubits", [16, 18])
+@pytest.mark.parametrize("num_qubits", [14, 16, 18])
 def test_pairing_kernels_match_full_vector_reference(num_qubits):
-    # 16 and 18 qubits walk 2 and 8 rows of 4^7 entries.
+    # 14 qubits walk one row of 4^7 / 2 entries, 16 and 18 qubits 2 and 8
+    # rows of 4^7 entries.
     rng = np.random.default_rng(80 + num_qubits)
     ghz = np.zeros(2**num_qubits)
     ghz[[0, -1]] = 2**-0.5

@@ -1,8 +1,8 @@
-"""Property test of the antidiagonal pairing kernel on its one-block path.
+"""Property test of the antidiagonal pairing kernel at small sizes.
 
-Up to 14 qubits ``hdet_fast`` and both ``n_tangle`` routes sum one
-half-block; at 2-10 qubits they are checked against the enumeration
-oracles on dense, sparse and real states.  Needs the optional
+Up to 14 qubits ``hdet_fast`` and both ``n_tangle`` routes walk a single
+row of 4^n / 2 entries; at 2-10 qubits they are checked against the
+enumeration oracles on dense, sparse and real states.  Needs the optional
 ``hypothesis`` package; the module is skipped without it.
 """
 

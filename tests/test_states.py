@@ -188,6 +188,15 @@ def test_renormalize_keeps_the_bits_of_complex_division():
         assert got.tobytes() == (vec / math.sqrt(_inner(vec, vec))).tobytes()
 
 
+def test_parse_slack_rescale_keeps_signed_zero():
+    # The slack rescale under "check" scales the float parts as "renormalize"
+    # does, so the -0.0 real part keeps its sign bit.
+    text = "(-0.0+0.6i)|0> + 0.8000001|1>"
+    got = parse_ket(text).amplitudes
+    assert math.copysign(1.0, got[0].real) == -1.0
+    assert got.tobytes() == parse_ket(text, norm="renormalize").amplitudes.tobytes()
+
+
 def test_parse_tiny_state_is_not_the_zero_vector():
     with pytest.raises(ValidationError, match="not normalized"):
         parse_ket("1e-170|0>")
@@ -435,6 +444,15 @@ def test_random_state_deterministic_and_normalized():
     assert abs(a.norm() - 1.0) <= TOL
     with pytest.raises(ValidationError):
         random_state(0, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_random_draws_reject_a_bad_seed(seed):
+    # NumPy's own ValueError/TypeError leaves the library as a ValidationError.
+    with pytest.raises(ValidationError, match="invalid seed"):
+        random_state(2, seed)
+    with pytest.raises(ValidationError, match="invalid seed"):
+        random_su2(seed)
 
 
 def test_random_su2_properties():
