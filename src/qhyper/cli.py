@@ -277,9 +277,8 @@ def run_bench(n: int, reps: int, seed) -> dict:
     Returns mean seconds per call for each method and the largest
     absolute disagreement.  ``n`` > 8 raises ``SizeCapError`` before allocating.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    qubits = 2 * int(n)
+    n, reps = tensor._int_arg(n, "n"), tensor._int_arg(reps, "reps", "an integer >= 1", 1)
+    qubits = 2 * n
     states._check_order_cap(qubits)
     rng = states._rng(seed)
     t_fast = t_reduced = delta = 0.0
@@ -294,9 +293,9 @@ def run_bench(n: int, reps: int, seed) -> dict:
         t_reduced += t2 - t1
         delta = max(delta, abs(fast - reduced))
     return {
-        "n": int(n),
+        "n": n,
         "qubits": qubits,
-        "reps": int(reps),
+        "reps": reps,
         "mean_fast_s": t_fast / reps,
         "mean_reduced_s": t_reduced / reps,
         "max_abs_delta": float(delta),

@@ -45,6 +45,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .tensor import (
     Hypermatrix,
     _inner,
+    _int_arg,
     frobenius_norm,
     mode_permute,
     multilinear_multiply,
@@ -94,15 +95,6 @@ class HosvdResult:
         return multilinear_multiply(self.factors, self.core)
 
 
-def _require_qubit_mode(H, k):
-    if not 1 <= k <= H.order:
-        raise ValidationError(f"mode must be in 1..{H.order}, got {k}")
-    if H.dims[k - 1] != 2:
-        raise ValidationError(
-            f"mode {k} has length {H.dims[k - 1]}; this decomposition needs length 2"
-        )
-
-
 def mode_factor(H: Hypermatrix, k: int):
     """Mode-k factor and singular values for a length-2 mode.
 
@@ -120,9 +112,19 @@ def mode_factor(H: Hypermatrix, k: int):
     eigensystem is computed in closed form.  The eigenvector branch is
     chosen by the sign of G_00 - G_11 to avoid cancellation; for a
     degenerate spectrum (including the zero hypermatrix) the factor is
-    the identity by convention.
+    the identity by convention.  A lower eigenvalue below 1e-8 of the
+    trace is mostly the trace's roundoff, and its root would read ~1e-8
+    where the exact value is 0; there the lower singular value is the
+    norm of the unfolding projected on column 2, so an unentangled
+    qubit's spectrum reads (1, 0) to rounding.
     """
-    _require_qubit_mode(H, k)
+    k = _int_arg(k, "mode")
+    if not 1 <= k <= H.order:
+        raise ValidationError(f"mode must be in 1..{H.order}, got {k}")
+    if H.dims[k - 1] != 2:
+        raise ValidationError(
+            f"mode {k} has length {H.dims[k - 1]}; this decomposition needs length 2"
+        )
     # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves
     # of this view, in another column order, which G does not depend on.
     X = H.data.reshape(math.prod(H.dims[: k - 1]), 2, -1)
@@ -134,7 +136,6 @@ def mode_factor(H: Hypermatrix, k: int):
     r = math.hypot(d, 2.0 * abs(c))
     lam_hi = 0.5 * (s + r)
     lam_lo = max(0.5 * (s - r), 0.0)
-    svals = np.array([math.sqrt(lam_hi), math.sqrt(lam_lo)])
     if r <= 1e-15 * s or s == 0.0:
         # Degenerate (or zero) spectrum: any orthonormal basis works.
         V = np.eye(2, dtype=np.complex128)
@@ -144,6 +145,10 @@ def mode_factor(H: Hypermatrix, k: int):
         h = math.hypot(abs(x), abs(y))
         x, y = x / h, y / h
         V = np.array([[x, -y.conjugate()], [y, x.conjugate()]])
+        if lam_lo < 1e-8 * s:
+            w = x * row1 - y * row0  # the unfolding projected on column 2
+            lam_lo = _inner(w, w)
+    svals = np.array([math.sqrt(lam_hi), math.sqrt(lam_lo)])
     V.setflags(write=False)
     svals.setflags(write=False)
     return V, svals
@@ -221,8 +226,10 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     choice, not a gauge fix (on the support {000, 011, 101, 110}, say,
     no entry differs from the anchor in one mode only).
 
-    Returns a new :class:`HosvdResult`.
+    ``negligible`` must be positive and finite.  Returns a new :class:`HosvdResult`.
     """
+    if not 0.0 < negligible < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {negligible!r}")
     core = result.core.data
     n = core.ndim
     flat = core.reshape(-1)
@@ -254,8 +261,7 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
         # and every index is below 2^n, so one key orders by group, then by index.
         group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
         support = support[np.argsort(group << n | support)]
-        anchor = int(support[0])
-        support = support[1:]
+        anchor = int(support[0])  # its flip below is 0, so it pins no mode
         g = -cmath.phase(flat[anchor])
         flips = support ^ anchor  # entry i differs from the anchor in the modes set here
         for _ in range(n):  # every round pins at least one mode
@@ -314,16 +320,15 @@ class LuVerdict:
     detail: str = ""
 
 
-def _alignment_candidates(fa, fb, tol):
-    """Mode mappings sigma with fa[sigma(k)] = fb[k] within tol.
+def _alignment_candidates(match):
+    """Injective mode mappings sigma with ``match[k, sigma(k) - 1]`` for
+    every mode k of the boolean N x N table ``match``.
 
     A lazy generator of one-based mapping tuples (as in
     :class:`ModePermutation`) in lexicographic order; it yields nothing
-    at once when some mode of B matches no spectrum of A.
+    at once when some row of ``match`` is all False.
     """
-    N = len(fa)
-    # match[k, j]: mode k of B has the spectrum of mode j of A.
-    match = np.abs(np.asarray(fb)[:, None] - np.asarray(fa)[None]).max(axis=2) <= tol
+    N = len(match)
     options = [np.flatnonzero(row).tolist() for row in match]
     if not all(options):
         return
@@ -344,13 +349,13 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     relabeling.
 
     ``NotEquivalent`` means no relabeling of the modes aligns the two
-    singular-value fingerprints; the certificate reports the first mode
-    where the unpermuted fingerprints differ.  ``EquivalentCoreMatch``
+    singular-value fingerprints; the certificate names the first mode
+    whose spectra differ in place.  ``EquivalentCoreMatch``
     means some alignment exists under which the phase-canonicalized
     cores agree entrywise within ``tol``, with every mode spectrum
     non-degenerate.  Everything else is ``Inconclusive``; the test never
     guesses.  At most ``RELABEL_CAP`` alignments are tried, first match
-    wins.
+    wins; the detail says the search was capped only when one more exists.
 
     Both inputs must have equal dims and unit Frobenius norm within
     ``tol`` (no silent renormalization); ``tol`` must be positive and
@@ -367,20 +372,17 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
             )
     pairs_a = _mode_pairs(A)
     pairs_b = _mode_pairs(B)
-    fa = tuple(sv for _, sv in pairs_a)
-    fb = tuple(sv for _, sv in pairs_b)
-    candidates = _alignment_candidates(fa, fb, tol)
+    fa = np.array([sv for _, sv in pairs_a])
+    fb = np.array([sv for _, sv in pairs_b])
+    # match[k, j]: mode k of B has the spectrum of mode j of A.
+    match = np.abs(fb[:, None] - fa[None]).max(axis=2) <= tol
+    candidates = _alignment_candidates(match)
     first = next(candidates, None)
-    if first is None:
-        for k, (sa, sb) in enumerate(zip(fa, fb), start=1):
-            if np.max(np.abs(sa - sb)) > tol:
-                return LuVerdict(
-                    tag=LuTag.NOT_EQUIVALENT,
-                    certificate=SvalCertificate(
-                        mode=k, svals_a=tuple(sa), svals_b=tuple(sb)
-                    ),
-                    detail="no relabeling aligns the singular-value fingerprints",
-                )
+    if first is None:  # the identity is no alignment: some mode's spectra differ in place
+        k = int(np.argmin(match.diagonal()))
+        cert = SvalCertificate(mode=k + 1, svals_a=tuple(fa[k]), svals_b=tuple(fb[k]))
+        detail = "no relabeling aligns the singular-value fingerprints"
+        return LuVerdict(tag=LuTag.NOT_EQUIVALENT, certificate=cert, detail=detail)
     for k, sv in enumerate(fb, start=1):
         if sv[0] <= 0.0 or (sv[0] - sv[1]) / sv[0] < DEGENERACY_GAP:
             return LuVerdict(
@@ -394,8 +396,12 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     # and each candidate only re-indexes its factors and permutes its core.
     ra = _hosvd_from_pairs(A, pairs_a)
     cb = canonicalize_core(_hosvd_from_pairs(B, pairs_b), negligible=tol / 4).core
-    best_gap = None
-    for sigma in itertools.islice(itertools.chain((first,), candidates), RELABEL_CAP):
+    detail = "fingerprints align but canonical cores differ (best max entry gap {:.3e})"
+    best_gap = math.inf
+    for tried, sigma in enumerate(itertools.chain((first,), candidates)):
+        if tried == RELABEL_CAP:  # an alignment beyond the RELABEL_CAP tried exists
+            detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
+            break
         permuted = HosvdResult(
             factors=tuple(ra.factors[j - 1] for j in sigma),
             core=mode_permute(ra.core, sigma),
@@ -409,12 +415,5 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
                 tag=LuTag.EQUIVALENT_CORE_MATCH,
                 detail="" if is_id else f"after relabeling modes by {sigma}",
             )
-        best_gap = gap if best_gap is None else min(best_gap, gap)
-    detail = (
-        "fingerprints align but canonical cores differ "
-        f"(best max entry gap {best_gap:.3e})"
-    )
-    # Capped only when an alignment beyond the RELABEL_CAP tried exists.
-    if next(candidates, None) is not None:
-        detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
-    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)
+        best_gap = min(best_gap, gap)
+    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail.format(best_gap))

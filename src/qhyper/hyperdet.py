@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
-from .tensor import Hypermatrix
+from .tensor import Hypermatrix, _int_arg
 
 __all__ = [
     "MAX_SIGN_N",
@@ -78,9 +78,10 @@ _N_BLOCK = -_P_BLOCK
 
 
 def _check_sign_n(n):
-    if not 1 <= int(n) <= MAX_SIGN_N:
+    n = _int_arg(n, "n")
+    if not 1 <= n <= MAX_SIGN_N:
         raise SizeCapError(f"n must be in 1..{MAX_SIGN_N}, got {n}")
-    return int(n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def chi_signs(n: int) -> np.ndarray:
 def _antidiagonal(n, string, scale):
     """Dense 4^n x 4^n float64 matrix whose row j holds ``scale`` times sign j
     of ``string(n)`` in column 4^n - 1 - j; quadratic storage, capped at n = 7."""
-    n = int(n)
+    n = _int_arg(n, "n")
     if not 1 <= n <= DENSE_CAP_N:
         raise SizeCapError(f"dense matrices are capped at n = {DENSE_CAP_N}, got {n}")
     return np.fliplr(np.diag(scale * string(n).signs.astype(np.float64)))
@@ -302,8 +303,8 @@ def fact1_position(k: int, length: int) -> int:
     The rank over all 0/1 strings of even ``length`` sorted as binary
     numbers is 2^(k-1) + 1.
     """
-    length = int(length)
-    k = int(k)
+    length = _int_arg(length, "length", "a positive even integer")
+    k = _int_arg(k, "k")
     if length < 2 or length % 2:
         raise ValidationError(f"length must be a positive even integer, got {length}")
     if not 1 <= k <= length:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
 from .hyperdet import MAX_SIGN_N, hdet_fast
-from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _json_int
+from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _int_arg, _json_int
 
 __all__ = [
     "MAX_QUBITS",
@@ -353,9 +353,8 @@ def _rng(seed):
 
 def random_state(num_qubits: int, seed) -> QubitState:
     """Normalized state with i.i.d. complex Gaussian amplitudes."""
+    num_qubits = _int_arg(num_qubits, "num_qubits", "a positive integer", 1)
     _check_qubit_cap(num_qubits)
-    if num_qubits < 1:
-        raise ValidationError(f"need at least one qubit, got {num_qubits}")
     rng = _rng(seed)
     vec = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
     return QubitState(vec, norm="renormalize")

@@ -165,7 +165,7 @@ class ModePermutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(p) for p in self.mapping)
+        mapping = tuple(_int_arg(p, "mode") for p in self.mapping)
         object.__setattr__(self, "mapping", mapping)
         if sorted(mapping) != list(range(1, len(mapping) + 1)):
             raise ValidationError(f"not a permutation of 1..{len(mapping)}: {mapping}")
@@ -214,11 +214,18 @@ def _inner(u, v):
     return complex(np.einsum("ijk,ijk->", x, y), ri - ir)
 
 
+def _int_arg(value, what, kind="an integer", low=-math.inf) -> int:
+    """A count, index or mode number of at least ``low`` as an ``int``: an ``int``
+    or NumPy integer.  Anything else, bools, floats and strings included, raises
+    ValidationError("``what`` must be ``kind``")."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _json_int(value, what) -> int:
     """A non-negative integer header field such as ``num_qubits``."""
-    if type(value) is not int or value < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
+    return _int_arg(value, what, "a non-negative integer", 0)
 
 
 _CHUNK = 1024  # entries rendered per write

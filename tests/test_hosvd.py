@@ -31,6 +31,7 @@ from qhyper import (
     state_to_hypermatrix,
 )
 from qhyper.hosvd import DEGENERACY_GAP, HosvdResult, _alignment_candidates
+from test_lu_verdict_corpus import _amplitudes
 
 TOL = 1e-10
 CROSS_TOL = 1e-12
@@ -287,6 +288,14 @@ def test_canonicalize_zero_core_is_noop():
     np.testing.assert_array_equal(canon.core.data, res.core.data)
 
 
+@pytest.mark.parametrize("negligible", [0.0, -1.0, math.nan, math.inf])
+def test_canonicalize_rejects_bad_negligible(negligible):
+    # 0 would divide the neighbour floor by zero; the others give no gauge.
+    res = hosvd(random_qubit_tensor(np.random.default_rng(607), 3))
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+        canonicalize_core(res, negligible=negligible)
+
+
 def test_diagonal_phase_pairs_canonicalize_to_equal_cores():
     rng = np.random.default_rng(603)
     checked = 0
@@ -321,15 +330,9 @@ def test_general_lu_pairs_canonicalize_to_equal_cores():
 
 
 def _test_state(kind, n, rng):
-    z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    if kind == "symmetric":
-        z = z[np.bitwise_count(np.arange(2**n))]  # depends on Hamming weight only
-    elif kind == "w-like":
-        z[np.bitwise_count(np.arange(2**n)) != 1] = 0.0
-    elif kind == "sparse":
-        z[rng.random(2**n) < 0.7] = 0.0
-        z[0] += 1.0
-    return QubitState(z / np.linalg.norm(z))
+    # generic, symmetric, w-like, sparse, product (qubit 1 unentangled) or
+    # near-degenerate (mode-1 relative gap 1e-5), as in the verdict corpus.
+    return QubitState(_amplitudes(kind, n, rng))
 
 
 @pytest.mark.parametrize("negligible", [2.5e-11, 1e-3, 0.05, 1.0])
@@ -585,9 +588,9 @@ def test_lu_equivalence_never_not_equivalent_for_permuted_self():
 
 
 def test_alignment_candidates_never_exceed_cap():
-    sv = np.array([0.8, 0.6])  # two modes with equal spectra: two candidates
+    match = np.ones((2, 2), dtype=bool)  # two modes with equal spectra: two candidates
     for cap, expect in ((0, True), (1, True), (2, False)):
-        candidates = _alignment_candidates((sv, sv), (sv, sv), TOL)
+        candidates = _alignment_candidates(match)
         found = list(itertools.islice(candidates, cap))
         assert found == [(1, 2), (2, 1)][:cap]
         capped = next(candidates, None) is not None
@@ -597,10 +600,24 @@ def test_alignment_candidates_never_exceed_cap():
 def test_alignment_candidates_stop_when_a_mode_matches_nothing():
     # Only B's last mode lacks a partner, so every injective prefix of the
     # other 15 modes is a dead end: the search must not walk those 15!.
-    sv = np.array([0.8, 0.6])
-    fa = (sv,) * 16
-    fb = (sv,) * 15 + (np.array([1.0, 0.0]),)
-    assert list(_alignment_candidates(fa, fb, TOL)) == []
+    match = np.ones((16, 16), dtype=bool)
+    match[15] = False
+    assert list(_alignment_candidates(match)) == []
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_lu_equivalence_matches_copies_of_product_states(n):
+    # Qubit 1 is unentangled: its mode has rank one, and a local unitary
+    # mixes both rows of the unfolding, so a lower singular value taken
+    # from the rounded eigenvalue would read ~1e-8 and miss the exact 0.
+    rng = np.random.default_rng(720 + n)
+    for _ in range(10):
+        A, K = _relabelled_lu_copy("product", n, rng)
+        assert lu_equivalence(A, K).tag is LuTag.EQUIVALENT_CORE_MATCH
+        for H in (A, K):
+            for k, sv in enumerate(lu_fingerprint(H), start=1):
+                M = np.moveaxis(H.data, k - 1, 0).reshape(2, -1)
+                np.testing.assert_allclose(sv, oracles.svd_svals(M), rtol=0, atol=1e-14)
 
 
 def test_lu_equivalence_unmatched_mode_is_not_equivalent():

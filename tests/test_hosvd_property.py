@@ -27,15 +27,18 @@ from qhyper.hosvd import DEFAULT_TOL, DEGENERACY_GAP  # noqa: E402
 from test_hosvd import _relabelled_lu_copy, _test_state, min_relative_gap  # noqa: E402
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    kind=st.sampled_from(["symmetric", "w-like", "generic"]),
+    kind=st.sampled_from(["symmetric", "w-like", "generic", "product", "near-degenerate"]),
     n=st.integers(4, 8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lu_relabeled_copies_property(kind, n, seed):
     # Cores equal in exact arithmetic must canonicalize alike whatever
     # the roundoff, so symmetric states (every relabeling aligns) match.
+    # A product state's unentangled qubit has spectrum (1, 0) in both
+    # copies to rounding, so it aligns; a near-degenerate mode (relative
+    # gap 1e-5, above DEGENERACY_GAP) still fixes its factor well enough.
     H, K = _relabelled_lu_copy(kind, n, np.random.default_rng(seed))
     tag = lu_equivalence(H, K).tag
     assert tag is not LuTag.NOT_EQUIVALENT

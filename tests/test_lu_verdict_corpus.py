@@ -10,13 +10,11 @@ Each pair's tag is compared with the one stored in
 
 and at 3 qubits the even-parity family 0.7|000> + 0.5|011> + 0.4|101>
 + sqrt(0.1)|110> against local-phase and LU copies.  The stored tags
-were recorded before the canonical core's phases were pinned from the
-anchor's single-flip neighbours, so the test shows that the rule
-changed no verdict.  They pin the verdicts as they are, right or not:
-``sparse-lu-3`` is an LU copy tagged NotEquivalent, because one qubit is
-unentangled and its rounded lower singular value (1e-8) misses the exact
-0 by more than tol.  After a deliberate change of verdicts, rewrite the
-file with
+pin the verdicts as they are, right or not, so a change that moves one
+shows here.  ``sparse-lu-3`` (one qubit unentangled) is tagged
+EquivalentCoreMatch since a rank-one mode's lower singular value reads 0
+to rounding rather than ~1e-8.  After a deliberate change of verdicts,
+rewrite the file with
 
     PYTHONPATH=src python tests/test_lu_verdict_corpus.py
 """
@@ -53,6 +51,8 @@ def _amplitudes(kind, n, rng, gap=NEAR_GAP):
     elif kind == "sparse":
         z[rng.random(2**n) < 0.7] = 0.0
         z[0] += 1.0
+    elif kind == "product":
+        z[2 ** (n - 1) :] = 0.0  # qubit 1 is |0>, unentangled
     elif kind == "near-degenerate":
         # Orthogonal qubit-1 halves with norms 1 and 1 - gap: the mode-1
         # singular values then have relative gap ``gap``.

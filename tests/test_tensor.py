@@ -13,11 +13,18 @@ from qhyper import (
     Hypermatrix,
     ModePermutation,
     ValidationError,
+    ent_matrix_dense,
+    fact1_position,
     frobenius_norm,
+    mode_factor,
     mode_permute,
+    mode_svals,
     multilinear_multiply,
     random_state,
+    sign_string_ent,
+    verify_antidiagonal_identity,
 )
+from qhyper.cli import run_bench
 from oracles import matrix_to_json, tensor_to_json
 from qhyper.tensor import _complex_from_json, _json_int, _write_json
 
@@ -316,3 +323,54 @@ def test_write_json_memory_is_bounded(tmp_path):
     assert peak < amps.nbytes
     written = json.loads((tmp_path / "state.json").read_text())
     assert oracles.complex_entries(written["amplitudes"]).tobytes() == amps.tobytes()
+
+
+_H = Hypermatrix(np.eye(2) / np.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mode_permute(_H, (1.5, 2)),
+        lambda: ModePermutation(("2", "1")),
+        lambda: ModePermutation((True, 2)),
+        lambda: sign_string_ent(1.9),
+        lambda: verify_antidiagonal_identity(2.5),
+        lambda: ent_matrix_dense(1.5),
+        lambda: fact1_position(1.9, 2),
+        lambda: fact1_position(1, 2.0),
+        lambda: mode_svals(_H, 1.5),
+        lambda: mode_factor(_H, True),
+        lambda: random_state(2.5, 0),
+        lambda: run_bench(1.5, 1, 0),
+        lambda: run_bench(1, 1.5, 0),
+    ],
+    ids=[
+        "mode_permute-float",
+        "ModePermutation-str",
+        "ModePermutation-bool",
+        "sign_string_ent",
+        "verify_antidiagonal_identity",
+        "ent_matrix_dense",
+        "fact1_position-k",
+        "fact1_position-length",
+        "mode_svals",
+        "mode_factor-bool",
+        "random_state",
+        "run_bench-n",
+        "run_bench-reps",
+    ],
+)
+def test_integer_arguments_reject_bools_floats_and_strings(call):
+    # A float is not truncated and a bool or digit string is not read as
+    # a number: every count, index and mode number must be an integer.
+    with pytest.raises(ValidationError, match="must be"):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert mode_permute(_H, np.array([2, 1])).dims == (2, 2)
+    assert len(sign_string_ent(np.int64(2))) == 16
+    assert fact1_position(np.int32(2), np.int64(4)) == 3
+    np.testing.assert_allclose(mode_svals(_H, np.int64(2)), [np.sqrt(0.5)] * 2)
+    assert random_state(np.uint8(3), 0).num_qubits == 3
