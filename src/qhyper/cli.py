@@ -186,13 +186,13 @@ def _cmd_svals(args):
         sv = mode_svals(H, args.mode)
         return {"mode": args.mode, "svals": sv.tolist()}, _spectrum_lines([sv], args.mode)
     fp = lu_fingerprint(H)
-    return {"mode_svals": [sv.tolist() for sv in fp]}, _spectrum_lines(fp)
+    return {"mode_svals": fp.tolist()}, _spectrum_lines(fp)
 
 
 def _cmd_hosvd(args):
     res = hosvd(_load_hypermatrix(args.state))
     payload = {
-        "mode_svals": [sv.tolist() for sv in res.mode_svals],
+        "mode_svals": res.mode_svals.tolist(),
         "factors": [{"rows": V.shape[0], "cols": V.shape[1], "entries": V} for V in res.factors],
         "core": {"dims": list(res.core.dims), "entries": res.core.data},
     }

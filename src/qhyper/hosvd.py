@@ -23,12 +23,12 @@ come from the largest core entry and its single-flip neighbours where
 those are large enough, and from a magnitude-ordered walk otherwise.
 
 The equivalence test decomposes each input once.  The HOSVD commutes
-with mode permutation, so the HOSVD of a relabelled copy of A is A's
-factors and spectra re-indexed and A's core permuted.  Alignments are
-generated lazily in lexicographic order and the search stops at the
-first core match; after ``RELABEL_CAP`` tried alignments it gives up,
-and the verdict says the search was capped only when a further
-alignment exists.
+with mode permutation, so the record of a relabelled copy of A is A's
+stacked factors and spectra indexed by the relabeling and A's core
+transposed by it.  Alignments are generated lazily in lexicographic
+order and the search stops at the first core match; after
+``RELABEL_CAP`` tried alignments it gives up, and the verdict says the
+search was capped only when a further alignment exists.
 """
 
 from __future__ import annotations
@@ -82,13 +82,14 @@ RELABEL_CAP = 720
 class HosvdResult:
     """Factors, core and per-mode singular values of a HOSVD.
 
-    ``factors[k-1]`` is the 2x2 unitary for mode k; ``mode_svals[k-1]``
-    is the descending pair of mode-k singular values.
+    ``factors`` is a read-only (N, 2, 2) array whose ``factors[k-1]`` is the
+    mode-k unitary; ``mode_svals`` is a read-only (N, 2) array whose row
+    k-1 is the descending pair of mode-k singular values.
     """
 
-    factors: tuple
+    factors: np.ndarray
     core: Hypermatrix
-    mode_svals: tuple
+    mode_svals: np.ndarray
 
     def reconstruct(self) -> Hypermatrix:
         """(V_1, ..., V_N) * core, equal to the input within roundoff."""
@@ -159,28 +160,31 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
     return mode_factor(H, k)[1]
 
 
-def _mode_pairs(H):
-    return [mode_factor(H, k) for k in range(1, H.order + 1)]
+def _mode_sweep(H):
+    """Every mode's factor and singular values, as read-only (N, 2, 2) and (N, 2) arrays."""
+    factors = np.empty((H.order, 2, 2), dtype=np.complex128)
+    spectra = np.empty((H.order, 2))
+    for k in range(H.order):
+        factors[k], spectra[k] = mode_factor(H, k + 1)
+    for arr in (factors, spectra):
+        arr.setflags(write=False)
+    return factors, spectra
 
 
-def _hosvd_from_pairs(H, pairs) -> HosvdResult:
-    """HOSVD of H from its ``(V, svals)`` pairs, one per mode."""
-    factors = tuple(V for V, _ in pairs)
-    core = multilinear_multiply([V.conj().T for V in factors], H)
-    return HosvdResult(factors=factors, core=core, mode_svals=tuple(sv for _, sv in pairs))
+def _hosvd_from_sweep(H, factors, spectra) -> HosvdResult:
+    return HosvdResult(factors, multilinear_multiply(factors.conj().transpose(0, 2, 1), H), spectra)
 
 
 def hosvd(H: Hypermatrix) -> HosvdResult:
     """Higher-order SVD of a hypermatrix with every mode of length 2."""
-    return _hosvd_from_pairs(H, _mode_pairs(H))
+    return _hosvd_from_sweep(H, *_mode_sweep(H))
 
 
-def lu_fingerprint(H: Hypermatrix):
-    """Per-mode singular value pairs, the local-unitary invariant.
-
-    Cheap relative to a full decomposition: no core is formed.
-    """
-    return tuple(mode_svals(H, k) for k in range(1, H.order + 1))
+def lu_fingerprint(H: Hypermatrix) -> np.ndarray:
+    """Per-mode singular values, the LU invariant, as a read-only (N, 2) array (no core)."""
+    fp = np.array([mode_svals(H, k) for k in range(1, H.order + 1)])
+    fp.setflags(write=False)
+    return fp
 
 
 def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 4):
@@ -291,11 +295,11 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     table = np.ones(1, dtype=np.complex128)
     for pk in phases[::-1]:
         table = (pk[:, None] * table).ravel()
-    return HosvdResult(
-        factors=tuple(V * pk.conj() for V, pk in zip(result.factors, phases)),
-        core=Hypermatrix._wrap((flat * table).reshape(core.shape)),
-        mode_svals=result.mode_svals,
-    )
+    # Column j of V_k takes conj(phases[k, j]), all modes in one broadcast.
+    factors = np.asarray(result.factors) * phases.conj()[:, None, :]
+    factors.setflags(write=False)
+    canon = Hypermatrix._wrap((flat * table).reshape(core.shape))
+    return HosvdResult(factors, canon, result.mode_svals)
 
 
 class LuTag(Enum):
@@ -359,21 +363,18 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
 
     Both inputs must have equal dims and unit Frobenius norm within
     ``tol`` (no silent renormalization); ``tol`` must be positive and
-    finite.
+    finite, and above 1e-323 so that ``tol / 4``, the canonicalization's
+    ``negligible``, is not 0.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
+    if not 0.0 < tol / 4 < math.inf:
+        raise ValidationError(f"tolerance must be positive, finite and above 1e-323, got {tol!r}")
     if A.dims != B.dims:
         raise DimensionMismatchError(f"dims differ: {A.dims} vs {B.dims}")
     for name, T in (("first", A), ("second", B)):
         if abs(frobenius_norm(T) - 1.0) > tol:
-            raise ValidationError(
-                f"{name} input is not normalized (norm {frobenius_norm(T)!r})"
-            )
-    pairs_a = _mode_pairs(A)
-    pairs_b = _mode_pairs(B)
-    fa = np.array([sv for _, sv in pairs_a])
-    fb = np.array([sv for _, sv in pairs_b])
+            raise ValidationError(f"{name} input is not normalized (norm {frobenius_norm(T)!r})")
+    factors_a, fa = _mode_sweep(A)
+    factors_b, fb = _mode_sweep(B)
     # match[k, j]: mode k of B has the spectrum of mode j of A.
     match = np.abs(fb[:, None] - fa[None]).max(axis=2) <= tol
     candidates = _alignment_candidates(match)
@@ -385,28 +386,20 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
         return LuVerdict(tag=LuTag.NOT_EQUIVALENT, certificate=cert, detail=detail)
     for k, sv in enumerate(fb, start=1):
         if sv[0] <= 0.0 or (sv[0] - sv[1]) / sv[0] < DEGENERACY_GAP:
-            return LuVerdict(
-                tag=LuTag.INCONCLUSIVE,
-                detail=(
-                    f"mode {k} spectrum is degenerate; the core comparison "
-                    "is not phase-determined"
-                ),
-            )
+            detail = f"mode {k} spectrum is degenerate; the core comparison is not phase-determined"
+            return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)
     # The HOSVD commutes with mode permutation, so A is decomposed once
     # and each candidate only re-indexes its factors and permutes its core.
-    ra = _hosvd_from_pairs(A, pairs_a)
-    cb = canonicalize_core(_hosvd_from_pairs(B, pairs_b), negligible=tol / 4).core
+    ra = _hosvd_from_sweep(A, factors_a, fa)
+    cb = canonicalize_core(_hosvd_from_sweep(B, factors_b, fb), negligible=tol / 4).core
     detail = "fingerprints align but canonical cores differ (best max entry gap {:.3e})"
     best_gap = math.inf
     for tried, sigma in enumerate(itertools.chain((first,), candidates)):
         if tried == RELABEL_CAP:  # an alignment beyond the RELABEL_CAP tried exists
             detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
             break
-        permuted = HosvdResult(
-            factors=tuple(ra.factors[j - 1] for j in sigma),
-            core=mode_permute(ra.core, sigma),
-            mode_svals=tuple(ra.mode_svals[j - 1] for j in sigma),
-        )
+        idx = np.subtract(sigma, 1)
+        permuted = HosvdResult(ra.factors[idx], mode_permute(ra.core, sigma), fa[idx])
         ca = canonicalize_core(permuted, negligible=tol / 4).core
         gap = float(np.max(np.abs(ca.data - cb.data)))
         if gap <= tol:

@@ -645,6 +645,10 @@ def test_malformed_env_tolerance_exit_code(tmp_path, capsys, monkeypatch):
 def test_bad_tolerance_rejected(tmp_path, capsys):
     a = put(tmp_path, "a.ket", PSI)
     assert main(["lu-equiv", "--a", a, "--b", a, "--tol", "-1"]) == 3
+    # Positive, but a quarter of it rounds to 0: the message names 5e-324.
+    capsys.readouterr()
+    assert main(["lu-equiv", "--a", a, "--b", a, "--tol", "5e-324"]) == 3
+    assert "got 5e-324" in capsys.readouterr().err
 
 
 def test_non_finite_tolerance_rejected(tmp_path, capsys, monkeypatch):

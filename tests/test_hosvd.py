@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,35 @@ def test_hosvd_of_own_core_gives_identity_factors():
         np.testing.assert_allclose(np.abs(V), np.eye(2), atol=CROSS_TOL)
 
 
+def test_hosvd_record_is_stacked_and_read_only():
+    H = random_qubit_tensor(np.random.default_rng(150), 4)
+    res = hosvd(H)
+    canon = canonicalize_core(res)
+    assert res.factors.shape == canon.factors.shape == (4, 2, 2)
+    assert res.mode_svals.shape == lu_fingerprint(H).shape == (4, 2)
+    for arr in (res.factors, res.mode_svals, canon.factors, lu_fingerprint(H)):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_hosvd_record_commutes_with_mode_permutation(n):
+    # The whole record, not only the spectra: relabelling the modes by sigma
+    # indexes the factors and spectra by sigma and pi-transposes the core,
+    # before and after canonicalization.
+    rng = np.random.default_rng(150 + n)
+    for _ in range(5):
+        H = random_qubit_tensor(rng, n)
+        sigma = tuple(int(j) + 1 for j in rng.permutation(n))
+        idx = np.subtract(sigma, 1)
+        res = hosvd(H)
+        expect = HosvdResult(res.factors[idx], mode_permute(res.core, sigma), res.mode_svals[idx])
+        got = hosvd(mode_permute(H, sigma))
+        for a, b in ((got, expect), (canonicalize_core(got), canonicalize_core(expect))):
+            np.testing.assert_allclose(a.factors, b.factors, rtol=0, atol=CROSS_TOL)
+            np.testing.assert_allclose(a.mode_svals, b.mode_svals, rtol=0, atol=CROSS_TOL)
+            np.testing.assert_allclose(a.core.data, b.core.data, rtol=0, atol=CROSS_TOL)
+
+
 def test_hosvd_rejects_non_qubit_dims():
     with pytest.raises(ValidationError):
         hosvd(Hypermatrix(np.zeros((2, 3, 2))))
@@ -330,8 +360,9 @@ def test_general_lu_pairs_canonicalize_to_equal_cores():
 
 
 def _test_state(kind, n, rng):
-    # generic, symmetric, w-like, sparse, product (qubit 1 unentangled) or
-    # near-degenerate (mode-1 relative gap 1e-5), as in the verdict corpus.
+    # generic, symmetric, w-like, sparse, product (qubit 1 unentangled),
+    # near-degenerate (mode-1 relative gap 1e-5), ghz, cluster (linear),
+    # bell-bell (n >= 4) or dicke (D(n, k), k drawn), as in the verdict corpus.
     return QubitState(_amplitudes(kind, n, rng))
 
 
@@ -570,11 +601,13 @@ def test_lu_equivalence_input_validation():
         lu_equivalence(H3, unnormalized)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 5e-324])
 def test_lu_equivalence_rejects_bad_tolerance(tol):
+    # 5e-324 is positive, but tol / 4, the canonicalization's negligible,
+    # rounds to 0; the message must name the caller's value, not that 0.
     psi = hyper("1/2|000> - 1/2|100> + 1/sqrt(2)|101>")
     phi = hyper("1/2|000> - 1/2|010> + 1/sqrt(2)|101>")
-    with pytest.raises(ValidationError, match="tolerance"):
+    with pytest.raises(ValidationError, match=rf"^tolerance .*, got {re.escape(repr(tol))}$"):
         lu_equivalence(psi, phi, tol=tol)
 
 

@@ -60,6 +60,18 @@ def _amplitudes(kind, n, rng, gap=NEAR_GAP):
         a /= np.linalg.norm(a)
         b -= np.vdot(a, b) * a
         b *= (1 - gap) / np.linalg.norm(b)
+    elif kind == "ghz":
+        z = (np.arange(2**n) % (2**n - 1) == 0) + 0j  # |0^n> + |1^n>
+    elif kind == "cluster":
+        # Linear cluster state: CZ on each neighbouring pair of |+>^n.
+        bits = np.arange(2**n)
+        z = (-1.0) ** np.bitwise_count(bits & bits >> 1) + 0j
+    elif kind == "bell-bell":
+        # (|00> + |11>)(|00> + |11>) on qubits 1-4, the rest |0>.
+        z = np.zeros(2**n, dtype=complex)
+        z[np.array([0b0000, 0b0011, 0b1100, 0b1111]) << (n - 4)] = 1.0
+    elif kind == "dicke":
+        z = (weight == rng.integers(1, n)) + 0j  # D(n, k) for a drawn 1 <= k < n
     return z / np.linalg.norm(z)
 
 
