@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -99,6 +100,7 @@ class _ParseError(Exception):
     pass
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qhyper", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,9 @@ obtained by applying the conjugate-transposed factors to the input, so
 
 holds by construction.  The core is all-orthogonal (slices along any
 mode at distinct indices have zero Frobenius inner product) and the
-norms of the mode-k slices are the mode-k singular values.
+norms of the mode-k slices are the mode-k singular values.  All modes
+are solved in one sweep: their Gram diagonals come from one |entry|^2
+table folded a mode at a time, and their closed forms run together.
 
 The per-mode singular values are invariant under local unitaries and
 are therefore used as a cheap fingerprint: fingerprints that cannot be
@@ -117,42 +119,14 @@ def mode_factor(H: Hypermatrix, k: int):
     trace is mostly the trace's roundoff, and its root would read ~1e-8
     where the exact value is 0; there the lower singular value is the
     norm of the unfolding projected on column 2, so an unentangled
-    qubit's spectrum reads (1, 0) to rounding.
+    qubit's spectrum reads (1, 0) to rounding.  This is row k-1 of the
+    sweep that :func:`hosvd` runs over every mode, bit for bit.
     """
     k = _int_arg(k, "mode")
     if not 1 <= k <= H.order:
         raise ValidationError(f"mode must be in 1..{H.order}, got {k}")
-    if H.dims[k - 1] != 2:
-        raise ValidationError(
-            f"mode {k} has length {H.dims[k - 1]}; this decomposition needs length 2"
-        )
-    # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves
-    # of this view, in another column order, which G does not depend on.
-    X = H.data.reshape(math.prod(H.dims[: k - 1]), 2, -1)
-    row0, row1 = X[:, 0], X[:, 1]
-    a, b = _inner(row0, row0), _inner(row1, row1)
-    c = _inner(row1, row0)  # G_01 = row0 . conj(row1)
-    d = a - b
-    s = a + b
-    r = math.hypot(d, 2.0 * abs(c))
-    lam_hi = 0.5 * (s + r)
-    lam_lo = max(0.5 * (s - r), 0.0)
-    if r <= 1e-15 * s or s == 0.0:
-        # Degenerate (or zero) spectrum: any orthonormal basis works.
-        V = np.eye(2, dtype=np.complex128)
-    else:
-        # The top eigenvector (x, y) is column 1 and (-conj(y), conj(x)) column 2.
-        x, y = (complex(0.5 * (r + d)), c.conjugate()) if d >= 0.0 else (c, complex(0.5 * (r - d)))
-        h = math.hypot(abs(x), abs(y))
-        x, y = x / h, y / h
-        V = np.array([[x, -y.conjugate()], [y, x.conjugate()]])
-        if lam_lo < 1e-8 * s:
-            w = x * row1 - y * row0  # the unfolding projected on column 2
-            lam_lo = _inner(w, w)
-    svals = np.array([math.sqrt(lam_hi), math.sqrt(lam_lo)])
-    V.setflags(write=False)
-    svals.setflags(write=False)
-    return V, svals
+    factors, spectra = _mode_sweep(H, (k - 1,))
+    return factors[0], spectra[0]
 
 
 def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
@@ -160,12 +134,51 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
     return mode_factor(H, k)[1]
 
 
-def _mode_sweep(H):
-    """Every mode's factor and singular values, as read-only (N, 2, 2) and (N, 2) arrays."""
-    factors = np.empty((H.order, 2, 2), dtype=np.complex128)
-    spectra = np.empty((H.order, 2))
-    for k in range(H.order):
-        factors[k], spectra[k] = mode_factor(H, k + 1)
+def _mode_sweep(H, modes=None):
+    """Factors and singular values of the zero-based ``modes`` (default: all),
+    as read-only (len(modes), 2, 2) and (len(modes), 2) arrays.
+
+    The |entry|^2 table is folded one mode at a time: read as (n_k, rest),
+    its row sums are mode k's G_00 and G_11 and its column sums the next
+    table.  G_01 is one einsum over mode k's halves against one conjugated
+    copy.  No sum goes through BLAS; every mode's closed form runs at once.
+    """
+    modes = range(H.order) if modes is None else modes
+    for k in modes:
+        if H.dims[k] != 2:
+            raise ValidationError(
+                f"mode {k + 1} has length {H.dims[k]}; this decomposition needs length 2"
+            )
+    fold, diag = np.square(H.data.real) + np.square(H.data.imag), []
+    for n in H.dims[: max(modes) + 1]:
+        F = fold.reshape(n, -1)
+        diag.append(F.sum(axis=1))
+        fold = F.sum(axis=0)
+    a, b = np.array([diag[k] for k in modes]).T
+    # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves of
+    # these views, in another column order, which G does not depend on.
+    halves = [H.data.reshape(math.prod(H.dims[:k]), 2, -1) for k in modes]
+    conj = H.data.conj()
+    c = np.array([np.einsum("ij,ij->", X[:, 0], conj.reshape(X.shape)[:, 1]) for X in halves])
+    d, s = a - b, a + b
+    r = np.hypot(d, 2.0 * np.abs(c))
+    lam = np.empty((len(s), 2))
+    lam[:, 0], lam[:, 1] = 0.5 * (s + r), np.maximum(0.5 * (s - r), 0.0)
+    eye = (r <= 1e-15 * s) | (s == 0.0)  # degenerate (or zero): any basis works
+    # The top eigenvector (x, y) is column 1 and (-conj(y), conj(x)) column 2.  To avoid
+    # cancellation it is (v, conj(c)) for d >= 0, else (c, v), with v = (r + |d|) / 2.
+    top = d >= 0.0
+    v, u = 0.5 * (r + np.abs(d)), np.where(top, c.conj(), c)
+    h = np.where(eye, 1.0, np.hypot(v, np.abs(u)))
+    v, u = v / h, (u.view(np.float64) / h.repeat(2)).view(np.complex128)  # each part / h
+    x, y = np.where(top, [v, u], [u, v])
+    factors = np.array([x, -y.conj(), y, x.conj()]).T.reshape(-1, 2, 2)
+    factors[eye] = np.eye(2)
+    for j in np.flatnonzero(lam[:, 1] < 1e-8 * s):  # never a degenerate mode
+        X = halves[j]
+        w = x[j] * X[:, 1] - y[j] * X[:, 0]  # the unfolding projected on column 2
+        lam[j, 1] = _inner(w, w)
+    spectra = np.sqrt(lam)
     for arr in (factors, spectra):
         arr.setflags(write=False)
     return factors, spectra
@@ -182,9 +195,7 @@ def hosvd(H: Hypermatrix) -> HosvdResult:
 
 def lu_fingerprint(H: Hypermatrix) -> np.ndarray:
     """Per-mode singular values, the LU invariant, as a read-only (N, 2) array (no core)."""
-    fp = np.array([mode_svals(H, k) for k in range(1, H.order + 1)])
-    fp.setflags(write=False)
-    return fp
+    return _mode_sweep(H)[1]
 
 
 def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 4):

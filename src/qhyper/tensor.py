@@ -199,10 +199,11 @@ def frobenius_norm(H: Hypermatrix) -> float:
 
 def _inner(u, v):
     """``sum(conj(u) * v)`` over all entries of two complex128 arrays of one
-    shape, or the real ``sum(|u|^2)`` when ``u is v``: every norm, inner
-    product and Gram entry of the package.  The sums run in NumPy's einsum
-    loops over float64 views, never in BLAS, so their bits do not depend on
-    the BLAS thread count, and the entries are not copied.
+    shape, or the real ``sum(|u|^2)`` when ``u is v``: every norm and inner
+    product of the package (``hosvd._mode_sweep`` sums the Gram entries).
+    The sums run in NumPy's einsum loops over float64 views, never in BLAS,
+    so their bits do not depend on the BLAS thread count, and the entries
+    are not copied.
     """
     x = u.reshape(-1, u.shape[-1], 1).view(np.float64)  # (rows, cols, re/im)
     if u is v:

@@ -675,6 +675,33 @@ def test_flags_only_on_the_subcommand_that_reads_them(tmp_path, capsys, argv):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
+    # build_parser is built once per process: a usage error must leave nothing
+    # behind that changes how a later command parses or runs.
+    path = put(tmp_path, "s.ket", PSI)
+    runs = [
+        ["svals", "--state", path, "--mode", "x"],
+        ["svals", "--state", path, "--mode", "2"],
+        ["lu-equiv", "--a", path],
+        ["svals", "--state", path, "--output", "json"],
+        ["signs", "--what", "ent"],
+        ["signs", "--what", "ent", "--n", "1"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, *_ in alone] == [1, 0, 1, 0, 1, 0]
+    assert [run(argv) for argv in runs] == alone
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_env_tolerance_ignored_outside_lu_equiv(capsys, monkeypatch):
     monkeypatch.setenv("QHYPER_TOL", "abc")
     assert main(["signs", "--what", "ent", "--n", "1"]) == 0

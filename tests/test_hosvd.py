@@ -166,6 +166,69 @@ def test_mode_factor_rejects_long_modes():
         mode_factor(H, 2)
 
 
+def _with_unentangled_qubit(rng, n, k):
+    """A random n-qubit state whose qubit k is a product factor."""
+    qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rest = random_qubit_tensor(rng, n - 1).data if n > 1 else np.ones(())
+    return Hypermatrix(np.moveaxis(np.multiply.outer(qubit / np.linalg.norm(qubit), rest), 0, k - 1))
+
+
+@pytest.mark.parametrize("unentangled", [False, True], ids=["generic", "unentangled"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def test_single_mode_reads_equal_the_sweep_bit_for_bit(n, unentangled):
+    # mode_factor solves one mode of the sweep that hosvd runs over all of them.
+    rng = np.random.default_rng(260 + n)
+    if unentangled:
+        H = _with_unentangled_qubit(rng, n, int(rng.integers(1, n + 1)))
+    else:
+        H = random_qubit_tensor(rng, n)
+    res = hosvd(H)
+    assert lu_fingerprint(H).tobytes() == res.mode_svals.tobytes()
+    for k in range(1, n + 1):
+        V, sv = mode_factor(H, k)
+        assert V.tobytes() == res.factors[k - 1].tobytes()
+        assert sv.tobytes() == mode_svals(H, k).tobytes() == res.mode_svals[k - 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_sweep_spectra_match_svd_of_unfoldings(n):
+    rng = np.random.default_rng(270 + n)
+    for H in (random_qubit_tensor(rng, n), _with_unentangled_qubit(rng, n, n // 2)):
+        spectra = lu_fingerprint(H)
+        for k in range(1, n + 1):
+            M = np.moveaxis(H.data, k - 1, 0).reshape(2, -1)
+            np.testing.assert_allclose(spectra[k - 1], oracles.svd_svals(M), rtol=0, atol=CROSS_TOL)
+
+
+def test_unentangled_qubit_reads_one_and_zero():
+    # The lower eigenvalue is below 1e-8 of the trace, so the sweep reads it as
+    # the norm of the projected unfolding instead of the root of roundoff.
+    H = _with_unentangled_qubit(np.random.default_rng(280), 12, 3)
+    for sv in (mode_svals(H, 3), hosvd(H).mode_svals[2]):
+        assert abs(sv[0] - 1.0) <= 1e-15
+        assert 0.0 <= sv[1] <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "data, degenerate",
+    [
+        (np.eye(2) / math.sqrt(2), [1, 2]),  # Bell: every mode degenerate
+        (np.zeros((2, 2, 2)), [1, 2, 3]),  # zero spectrum
+        (np.multiply.outer(np.eye(2) / math.sqrt(2), [0.6, 0.8j]), [1, 2]),  # Bell x qubit
+        (np.multiply.outer([0.8, 0.6], np.eye(2) / math.sqrt(2)), [2, 3]),  # qubit x Bell
+    ],
+    ids=["bell", "zero", "bell-qubit", "qubit-bell"],
+)
+def test_degenerate_modes_get_exactly_the_identity(data, degenerate):
+    # +0.0 everywhere off the diagonal, also when other modes are solved alongside.
+    H = Hypermatrix(data)
+    eye = np.eye(2, dtype=np.complex128).tobytes()
+    res = hosvd(H)
+    for k in range(1, H.order + 1):
+        assert (res.factors[k - 1].tobytes() == eye) is (k in degenerate)
+        assert (mode_factor(H, k)[0].tobytes() == eye) is (k in degenerate)
+
+
 # ---------------------------------------------------------------------------
 # hosvd
 
@@ -714,11 +777,12 @@ def test_lu_equivalence_matches_recompute_oracle(A, B):
 
 def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
     calls = []
-    real = HOSVD_MODULE.mode_factor
-    monkeypatch.setattr(HOSVD_MODULE, "mode_factor", lambda H, k: calls.append(k) or real(H, k))
+    real = HOSVD_MODULE._mode_sweep
+    monkeypatch.setattr(HOSVD_MODULE, "_mode_sweep", lambda H: calls.append(H) or real(H))
     A, B = _relabelled_lu_copy("symmetric", 6, np.random.default_rng(707))
     assert lu_equivalence(A, B).tag is LuTag.EQUIVALENT_CORE_MATCH
-    assert calls == list(range(1, 7)) * 2
+    assert len(calls) == 2
+    assert calls[0] is A and calls[1] is B
 
 
 def test_lu_equivalence_capped_search(monkeypatch):
