@@ -130,7 +130,7 @@ def mode_factor(H: Hypermatrix, k: int):
 
 
 def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
-    """Descending mode-k singular values (no factor computed)."""
+    """Descending mode-k singular values, the spectrum of :func:`mode_factor`."""
     return mode_factor(H, k)[1]
 
 
