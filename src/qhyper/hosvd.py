@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -225,14 +226,12 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     wherever the next magnitude is smaller by more than ``negligible``.
     Within a group the smaller row-major index comes first, so cores
     that are equal in exact arithmetic are visited in the same order
-    whatever their roundoff.  Then:
-
-    * the first entry (the smallest index of the top group) is the anchor;
-    * the remaining entries are visited in that order; each visit pins
-      the phase of one still-free mode so the visited entry becomes
-      real positive, zeroing the extra phases first when an entry
-      involves more than one free mode;
-    * phases of modes never touched by the support stay at zero.
+    whatever their roundoff.  The first entry (the smallest index of the
+    top group) is the anchor.  Each round takes the first entry in this
+    order that differs from the anchor in exactly one free mode, or
+    failing that in any free mode, pins its smallest free mode so that
+    the entry becomes real positive, and retires its other free modes at
+    phase zero.  Modes that no entry of the support touches stay at zero.
 
     The factors are rescaled by the conjugate phases so that
     ``reconstruct()`` is unchanged.  The pinning depends only on entry
@@ -241,9 +240,11 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     choice, not a gauge fix (on the support {000, 011, 101, 110}, say,
     no entry differs from the anchor in one mode only).
 
-    ``negligible`` must be positive and finite.  Returns a new :class:`HosvdResult`.
+    ``negligible`` must be a positive finite real number, not a bool.
+    Returns a new :class:`HosvdResult`.
     """
-    if not 0.0 < negligible < math.inf:
+    real = isinstance(negligible, numbers.Real) and not isinstance(negligible, bool)
+    if not real or not 0.0 < negligible < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {negligible!r}")
     core = result.core.data
     n = core.ndim
@@ -282,21 +283,16 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
         for _ in range(n):  # every round pins at least one mode
             counts = np.bitwise_count(flips & free)
             single = np.flatnonzero(counts == 1)
-            if single.size:
-                j = int(single[0])
-                flip = int(flips[j])
-                k = n - (flip & free).bit_length()
-                theta = cmath.phase(flat[support[j]]) + g
-                theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
-                rho[k] = -theta
-                free &= ~flip
-            elif counts.any():
-                # The largest remaining entry touches several free modes:
-                # keep only its smallest free mode adjustable, zero the others.
-                mask = int(flips[np.argmax(counts > 0)]) & free
-                free &= ~mask | 1 << (mask.bit_length() - 1)
-            else:
+            touched = single if single.size else np.flatnonzero(counts)
+            if not touched.size:
                 break
+            j = int(touched[0])
+            flip = int(flips[j])
+            k = n - (flip & free).bit_length()  # the entry's smallest free mode
+            theta = cmath.phase(flat[support[j]]) + g
+            theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
+            rho[k] = -theta
+            free &= ~flip  # its other free modes keep phase 0
 
     phases = np.ones((n, 2), dtype=np.complex128)
     for k in range(n):
@@ -373,11 +369,12 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     wins; the detail says the search was capped only when one more exists.
 
     Both inputs must have equal dims and unit Frobenius norm within
-    ``tol`` (no silent renormalization); ``tol`` must be positive and
-    finite, and above 1e-323 so that ``tol / 4``, the canonicalization's
-    ``negligible``, is not 0.
+    ``tol`` (no silent renormalization); ``tol`` must be a real number
+    (not a bool), finite, and above 1e-323 so that ``tol / 4``, the
+    canonicalization's ``negligible``, is not 0.
     """
-    if not 0.0 < tol / 4 < math.inf:
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not real or not 0.0 < tol / 4 < math.inf:
         raise ValidationError(f"tolerance must be positive, finite and above 1e-323, got {tol!r}")
     if A.dims != B.dims:
         raise DimensionMismatchError(f"dims differ: {A.dims} vs {B.dims}")

@@ -302,10 +302,12 @@ def state_from_json(obj, *, norm: str = "check") -> QubitState:
 
 
 def validate_unitary(U) -> np.ndarray:
-    """Check that U is a 2x2 unitary."""
+    """Check that U is a 2x2 unitary with finite entries."""
     arr = np.asarray(U, dtype=np.complex128)
     if arr.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # NaN would pass the defect test below
+        raise ValidationError("matrix entries must be finite")
     defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(2))))
     if defect > _UNITARY_TOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")

@@ -430,13 +430,35 @@ def _test_state(kind, n, rng):
 
 
 @pytest.mark.parametrize("negligible", [2.5e-11, 1e-3, 0.05, 1.0])
-@pytest.mark.parametrize("kind", ["generic", "symmetric", "w-like", "sparse"])
+@pytest.mark.parametrize(
+    "kind",
+    ["generic", "symmetric", "w-like", "sparse", "ghz", "cluster", "bell-bell", "dicke"],
+)
 def test_canonicalize_matches_per_entry_walk(kind, negligible):
+    # Random SU(2)s mix the support; local diagonal phases keep it, and on the ghz,
+    # bell-bell and dicke supports no entry is one mode from the anchor, so the walk
+    # pins modes from entries that touch several.
     rng = np.random.default_rng(605)
-    for n in range(1, 9):
+    for n in range({"bell-bell": 4, "dicke": 2}.get(kind, 1), 9):
         psi = _test_state(kind, n, rng)
-        psi = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
-        res = hosvd(state_to_hypermatrix(psi))
+        mixed = apply_local_unitaries(psi, [random_su2(rng.integers(2**63)) for _ in range(n)])
+        diagonal = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) for _ in range(n)]
+        for state in (mixed, apply_local_unitaries(psi, diagonal)):
+            res = hosvd(state_to_hypermatrix(state))
+            expect = oracles.canonical_core_walk(res.core.data, negligible, res.mode_svals)
+            got = canonicalize_core(res, negligible=negligible).core.data
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("negligible", [2.5e-11, 1e-3, 0.05, 1.0])
+def test_canonicalize_matches_per_entry_walk_under_diagonal_phases(negligible):
+    # The support {000, 011, 101, 110}: every entry differs from the anchor in two modes.
+    rng = np.random.default_rng(608)
+    family = np.zeros(8, dtype=complex)
+    family[[0b000, 0b011, 0b101, 0b110]] = 0.7, 0.5, 0.4, math.sqrt(0.1)
+    for _ in range(8):
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 2)))
+        res = hosvd(Hypermatrix(family.reshape(2, 2, 2) * np.einsum("i,j,k->ijk", *phases)))
         expect = oracles.canonical_core_walk(res.core.data, negligible, res.mode_svals)
         got = canonicalize_core(res, negligible=negligible).core.data
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
@@ -672,6 +694,26 @@ def test_lu_equivalence_rejects_bad_tolerance(tol):
     phi = hyper("1/2|000> - 1/2|010> + 1/sqrt(2)|101>")
     with pytest.raises(ValidationError, match=rf"^tolerance .*, got {re.escape(repr(tol))}$"):
         lu_equivalence(psi, phi, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [True, np.True_, "1e-10", None, 1j, [1e-10]])
+@pytest.mark.parametrize("caller", ["lu_equivalence", "canonicalize_core"])
+def test_tolerances_must_be_real_numbers(caller, tol):
+    # A bool would run as 1.0 or 0.25; the others would raise a bare TypeError.
+    psi = hyper("1/2|000> - 1/2|100> + 1/sqrt(2)|101>")
+    with pytest.raises(ValidationError, match=rf"^tolerance .*, got {re.escape(repr(tol))}$"):
+        if caller == "lu_equivalence":
+            lu_equivalence(psi, psi, tol=tol)
+        else:
+            canonicalize_core(hosvd(psi), negligible=tol)
+
+
+@pytest.mark.parametrize("tol", [1, 1e-10, np.float32(1e-6), np.float64(1e-10), np.int64(1)])
+def test_tolerances_take_ints_floats_and_numpy_reals(tol):
+    psi = hyper("1/2|000> - 1/2|100> + 1/sqrt(2)|101>")
+    assert lu_equivalence(psi, psi, tol=tol).tag is LuTag.EQUIVALENT_CORE_MATCH
+    canon = canonicalize_core(hosvd(psi), negligible=tol)
+    np.testing.assert_allclose(canon.reconstruct().data, psi.data, atol=1e-12)
 
 
 def test_lu_equivalence_never_not_equivalent_for_permuted_self():

@@ -27,7 +27,7 @@ from qhyper import (
     state_to_hypermatrix,
 )
 from oracles import state_to_json
-from qhyper.states import MAX_QUBITS
+from qhyper.states import MAX_QUBITS, validate_unitary
 from qhyper.tensor import _inner
 
 TOL = 1e-12
@@ -346,6 +346,17 @@ def test_apply_local_unitaries_validation():
         apply_local_unitaries(s, [np.eye(2)])
     with pytest.raises(ValidationError):
         apply_local_unitaries(s, [np.eye(2), 2.0 * np.eye(2)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("whole", [False, True])
+def test_unitaries_with_non_finite_entries_are_rejected(bad, whole):
+    # NaN passes a defect test (NaN > tol is False); inf * 0 puts NaN in the product.
+    U = np.full((2, 2), bad) if whole else np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        validate_unitary(U)
+    with pytest.raises(ValidationError, match="finite"):
+        apply_local_unitaries(parse_ket("|00>"), [np.eye(2), U])
 
 
 def test_apply_local_unitaries_preserves_norm():
