@@ -1,4 +1,4 @@
-"""Pure n-qubit states, ket expression parsing, and the n-tangle.
+r"""Pure n-qubit states, ket expression parsing, and the n-tangle.
 
 A state on n qubits is a vector of 2^n complex amplitudes in
 lexicographic basis order, qubit 1 being the most significant bit of
@@ -16,7 +16,10 @@ Ket expressions follow the grammar
 
 with optional whitespace between tokens.  Repeated basis labels are
 summed.  Decimals may carry an exponent so that amplitudes printed at
-17 significant digits parse back exactly.
+17 significant digits parse back exactly.  Whitespace and coefficient
+digits are Python's Unicode ``\s`` and ``\d`` (``str.isspace`` and
+``str.isdecimal``), while bits are the ASCII ``0`` and ``1``.  Decimals
+are read by ``float()`` and the integers of a fraction by ``int()``.
 
 The n-tangle of 2n qubits is 4 |hdet_fast|^2, computed by the one
 pairing kernel in ``hyperdet``; the spin-flipped vector is never formed.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -132,12 +136,74 @@ _COEF = (
     r"|\(\s*([+-]?" + _NUM + r")\s*([+-])\s*(" + _NUM + r")\s*i\s*\)|(" + _NUM + ")"
 )
 # A term up to its ket, [sign] [coef ['*']], each token after optional whitespace.
-_HEAD = r"\s*(?:([+-])\s*)?(?:(" + _COEF + r")\s*(?:\*\s*)?)?"
-_HEAD_RE = re.compile(_HEAD)
-# The empty alternative matches wherever no term does, so finditer never skips
-# text: the first match without bits is the first offset no term covers.
-_TERM_RE = re.compile(_HEAD + r"\|([01]+)>|")
+# It reads the fraction terms and places every syntax error.
+_HEAD_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(" + _COEF + r")\s*(?:\*\s*)?)?")
 _KET_RE = re.compile(r"\|([01]+)>")
+
+_CHUNK = 1 << 16  # characters lexed at a time, which bounds the lexer's temporaries
+
+# Number runs: digits, '.', 'e'/'E' and an exponent's sign, whose high bit is
+# set first (0xAB, 0xAD) so that translate can tell it from a term's sign.
+# Bytes 0x80-0x89 stand in for the Unicode digits 0-9 of a non-ASCII chunk.
+_NUMBER_BYTES = b"0123456789.eE" + bytes(range(0x80, 0x8A)) + b"\xab\xad"
+
+
+def _table(default, frm, to):
+    """256-byte translation table: byte ``frm[i]`` to ``to[i]``, every other byte to ``default``."""
+    table = bytearray(default * 256)
+    for f, t in zip(frm, to):
+        table[f] = t
+    return bytes(table)
+
+
+# The lexer's byte classes: a number byte becomes '#', whitespace (Python's
+# Unicode whitespace below 0x80) ' ', the grammar's other characters stay as
+# they are and any other byte becomes '?'.
+_SPACES = bytes(c for c in range(0x80) if chr(c).isspace())
+_GRAMMAR = b"+-|>()/*isqrt"
+_CLASSES = _table(
+    b"?",
+    _NUMBER_BYTES + _SPACES + _GRAMMAR,
+    b"#" * len(_NUMBER_BYTES) + b" " * len(_SPACES) + _GRAMMAR,
+)
+# The numbers as float() reads them, every other byte a space.
+_NUMBERS = _table(b" ", _NUMBER_BYTES, b"0123456789.eE0123456789+-")
+# A term's skeleton up to its '>', with each number run one '#' and each
+# whitespace run one ' '.  Groups: the sign, the coefficient, the real
+# part's sign and the operator of a complex one, and a fraction, whose
+# digit runs _HEAD_RE checks.
+_SHAPE_RE = re.compile(
+    rb" ?(?:([+-]) ?)?(?:(#|\( ?([+-]?)# ?([+-]) ?# ?i ?\)|(# ?/ ?(?:sqrt\( ?# ?\)|#))) ?(?:\* ?)?)?\|#"
+)
+_BARE, _DECIMAL, _COMPLEX, _FRACTION = range(4)
+_RUNS = np.array([1, 2, 3, 3])  # number runs in a term of each form, its bits included
+_FLOATS = np.array([0, 1, 2, 0])  # of them read by float()
+
+
+def _shape_row(shape):
+    """(form, signed, real part negated, imaginary part negated) of a term; form -1 if invalid."""
+    m = _SHAPE_RE.fullmatch(shape)
+    if m is None:
+        return (-1, 0, 0, 0)
+    sign, coef, re_sign, op, fraction = m.groups()
+    form = _BARE if coef is None else _COMPLEX if op else _FRACTION if fraction else _DECIMAL
+    negated = sign == b"-"
+    return (form, sign is not None, negated ^ (re_sign == b"-"), negated ^ (op == b"-"))
+
+
+def _not_bits(codes):
+    """Mask of the byte codes that are not an ASCII '0' or '1'."""
+    return codes | 1 != ord("1")
+
+
+def _stand_ins(chunk):
+    """Map each non-ASCII character of ``chunk`` to one Latin-1 character of its class:
+    whitespace to ' ', a digit d to chr(0x80 + d), anything else to '\\xff'."""
+    return {
+        ord(c): " " if c.isspace() else chr(0x80 + int(c)) if c.isdecimal() else "\xff"
+        for c in set(chunk)
+        if not c.isascii()
+    }
 
 
 def _ratio(root, num, den, pos):
@@ -176,6 +242,118 @@ def _term_error(text, pos, first):
     raise KetSyntaxError("expected '|bits>'", m.end())
 
 
+def _read_chunk(text, start, stop, k0, width):
+    """Labels, real parts, imaginary parts and bit count of the terms in ``text[start:stop]``.
+
+    The chunk ends just after a '>' or at the end of the text, so no term
+    straddles two chunks.  ``k0`` terms precede it, all of ``width`` bits
+    (None when ``k0`` is 0).  The error of the first failing term is
+    raised, in the order the terms are read: within a term its syntax,
+    then a fraction's value, then its bit count.
+    """
+    chunk = text[start:stop]
+    raw = chunk.encode("ascii") if chunk.isascii() else chunk.translate(_stand_ins(chunk)).encode("latin-1")
+    if b"e" in raw or b"E" in raw:
+        buf = bytearray(raw)
+        arr = np.frombuffer(buf, np.uint8)
+        exp = np.flatnonzero((arr[:-1] | 0x20) == ord("e")) + 1
+        arr[exp[(arr[exp] == ord("+")) | (arr[exp] == ord("-"))]] |= 0x80
+        raw = bytes(buf)
+    cls = np.frombuffer(raw.translate(_CLASSES), np.uint8)
+    keep = np.ones(cls.size, dtype=bool)  # all but the second, third, ... byte of a '#' or ' ' run
+    np.not_equal(cls[1:], cls[:-1], out=keep[1:])
+    keep[1:] |= cls[1:] > ord("#")
+    pieces = cls[keep].tobytes().split(b">")
+    runs = raw.translate(_NUMBERS).split()
+    # Each term that parses has one '|' and ends at a '>', so up to the first
+    # one that does not, the '|' of term k is marks[2k] and its '>' marks[2k + 1].
+    marks = np.flatnonzero((cls == ord("|")) | (cls == ord(">")))
+
+    def piece_start(k):
+        return start + (int(marks[2 * k - 1]) + 1 if k else 0)
+
+    # Piece k < n is term k without its '>'; piece n is the text after the last '>'.
+    n = len(pieces) - 1
+    seen = {}  # each skeleton and the first term that has it, checked once
+    same = np.fromiter(map(seen.setdefault, pieces, range(n)), np.intp, n)
+    rows = np.zeros((n, 4), dtype=np.int8)
+    for shape, k in seen.items():
+        rows[k] = _shape_row(shape)
+    form, signed, flip_re, flip_im = rows[same].T
+    bad = (form < 0) | (signed == 0)
+    if k0 == 0 and n:
+        bad[0] = form[0] < 0  # the first term of the text needs no sign
+    fail = len(pieces)  # the first piece that does not parse, if any
+    if bad.any():
+        fail = int(bad.argmax())
+    elif stop == len(text) and (pieces[n].strip() or not n + k0):
+        fail = n  # text after the last term, or no term at all
+
+    fractions = {}
+    for k in np.flatnonzero(form[:fail] == _FRACTION).tolist():
+        head = _HEAD_RE.match(text, piece_start(k))
+        if head.group(3, 4) == (None, None) or not text.startswith("|", head.end()):
+            fail = k  # a run is not all digits, or the root's numerator is not '1'
+            break
+        fractions[k] = (*head.group(3, 4, 5), head.start(2))
+    form = form[:fail]
+    ends = np.cumsum(_RUNS[form])  # one past each term's last number run, its bits
+    nf = _FLOATS[form]
+    slot = np.zeros(int(ends[-1]) if ends.size else 0, dtype=bool)
+    slot[ends[nf > 0] - 2] = True
+    slot[ends[nf == 2] - 3] = True
+    try:
+        floats = np.fromiter(map(float, compress(runs, slot.tolist())), np.float64, int(nf.sum()))
+    except ValueError:
+        for j, token in enumerate(compress(runs, slot.tolist())):
+            try:
+                float(token)
+            except ValueError:
+                fail = min(fail, int(np.searchsorted(np.cumsum(nf), j, "right")))
+                break
+
+    ok = min(fail, n)  # the terms that may parse
+    if k0 + ok == 0:
+        _term_error(text, start, True)
+    bar, gt = marks[: 2 * ok : 2], marks[1 : 2 * ok : 2]
+    lens = gt - bar - 1
+    raw = np.frombuffer(raw, np.uint8)
+    if k0 == 0:
+        width = int(lens[0])
+        if width > MAX_QUBITS:  # the first term's bits and value come before the cap
+            if _not_bits(raw[bar[0] + 1 : gt[0]]).any():
+                _term_error(text, start, True)
+            if 0 in fractions:
+                _ratio(*fractions[0])
+            _check_qubit_cap(width)
+    wrong = np.flatnonzero(lens != width)
+    other = int(wrong[0]) if wrong.size else ok  # the first term of another bit count
+    bits = raw[bar[:other, None] + 1 + np.arange(width)]
+    not_bits = _not_bits(bits).any(axis=1)
+    if not_bits.any():
+        fail = ok = min(fail, int(not_bits.argmax()))
+    elif other < ok and _not_bits(raw[bar[other] + 1 : gt[other]]).any():
+        fail = ok = other
+
+    re_parts = np.ones(ok)
+    for k, args in fractions.items():
+        if k < ok and k <= other:  # a term's value is read before its bit count is checked
+            re_parts[k] = _ratio(*args).real
+    if other < ok:
+        raise KetSyntaxError(f"ket has {lens[other]} bits, earlier kets have {width}", start + int(bar[other]))
+    if fail < len(pieces):
+        _term_error(text, piece_start(fail), k0 + fail == 0)
+
+    first = np.cumsum(nf) - nf  # each term's first float
+    re_parts[nf > 0] = floats[first[nf > 0]]
+    im_parts = np.zeros(n)
+    im_parts[nf == 2] = floats[first[nf == 2] + 1]
+    np.negative(re_parts, out=re_parts, where=flip_re != 0)
+    np.negative(im_parts, out=im_parts, where=flip_im != 0)
+    labels = (bits & 1) @ (1 << np.arange(width - 1, -1, -1))
+    return labels, re_parts, im_parts, width
+
+
 def parse_ket(text: str, *, norm: str = "check") -> QubitState:
     """Parse a ket expression into a :class:`QubitState`.
 
@@ -199,36 +377,35 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
         On a zero vector, a non-finite amplitude, a coefficient with a
         number too large for a float, or a norm that fails the policy.
     """
-    amps: dict[str, complex] = {}
+    parts = []
+    start = k0 = 0
     width = None
-    for m in _TERM_RE.finditer(text):
-        sign, coef, root, num, den, re_part, op, im_part, dec, bits = m.groups()
-        if bits is None or (sign is None and amps):
+    while True:
+        stop = text.find(">", start + _CHUNK) + 1 or len(text)
+        labels, re_parts, im_parts, width = _read_chunk(text, start, stop, k0, width)
+        parts.append((labels, re_parts, im_parts))
+        k0 += labels.size
+        if stop == len(text):
             break
-        if dec is not None:
-            value = complex(float(dec))
-        elif re_part is not None:
-            value = complex(float(re_part), -float(im_part) if op == "-" else float(im_part))
-        elif coef is not None:
-            value = _ratio(root, num, den, m.start(2))
-        else:
-            value = 1.0 + 0.0j
-        if len(bits) != width:
-            if width is not None:
-                raise KetSyntaxError(
-                    f"ket has {len(bits)} bits, earlier kets have {width}", m.start(10) - 1
-                )
-            width = len(bits)
-            _check_qubit_cap(width)
-        value = -value if sign == "-" else value
-        # The first value of a label is kept as it is, signed zeros included.
-        amps[bits] = amps[bits] + value if bits in amps else value
-    if not amps or text[m.start() :].strip():
-        _term_error(text, m.start(), not amps)
+        start = stop
+    labels, re_parts, im_parts = (np.concatenate(p) for p in zip(*parts))
+    values = np.empty(labels.size, dtype=np.complex128)
+    values.real, values.imag = re_parts, im_parts
 
     vec = np.zeros(2**width, dtype=np.complex128)
-    for bits, value in amps.items():
-        vec[int(bits, 2)] = value
+    seen = np.zeros(vec.size, dtype=bool)
+    seen[labels] = True
+    if np.count_nonzero(seen) == labels.size:
+        vec[labels] = values
+    else:
+        # The first value of a label is kept as it is, signed zeros included,
+        # and the later ones are added to it in text order.
+        first = np.unique(labels, return_index=True)[1]
+        later = np.ones(labels.size, dtype=bool)
+        later[first] = False
+        vec[labels[first]] = values[first]
+        with np.errstate(all="ignore"):
+            np.add.at(vec, labels[later], values[later])
     if not vec.any():
         raise ValidationError("expression sums to the zero vector")
     if norm == "check":

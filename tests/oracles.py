@@ -8,20 +8,25 @@ formula, the spin flip builds the actual complex Kronecker power (and,
 looped, its entry formula), and outer products, ket strings,
 ``{"re", "im"}`` entries and mode mappings are built by plain loops,
 and ket text is read one character at a time.
-The one exception is :func:`lu_equivalence_recompute`, a reference for
-the relabeling search only: it decomposes every relabelled copy with
+There are two exceptions.  :func:`lu_equivalence_recompute`, a reference
+for the relabeling search only, decomposes every relabelled copy with
 the package's own HOSVD and canonicalization.
+:func:`parse_ket_reference`, the per-term reader that ``parse_ket``
+replaced, shares the package's term-head regex, fraction reader and
+error placement, so that it can pin the errors as well as the values.
 """
 
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 
-from qhyper import LuTag, LuVerdict, SvalCertificate
+from qhyper import KetSyntaxError, LuTag, LuVerdict, SvalCertificate, ValidationError
 from qhyper import canonicalize_core, hosvd, lu_fingerprint, mode_permute
 from qhyper.hosvd import DEGENERACY_GAP, RELABEL_CAP
+from qhyper.states import _HEAD_RE, _check_qubit_cap, _ratio, _term_error
 
 
 def naive_multilinear(mats, data):
@@ -172,6 +177,53 @@ def ket_amplitudes(text):
         seen.add(j)
     return out
 
+
+# The term regex of the per-term reader: a term, or the empty match wherever no
+# term does, so finditer never skips text.
+_TERM_RE = re.compile(_HEAD_RE.pattern + r"\|([01]+)>|")
+
+
+def parse_ket_reference(text):
+    """Unnormalized amplitudes of ket text, read one term at a time.
+
+    The per-term regex loop that ``parse_ket`` ran before its bulk lexer,
+    kept as the reference for its values and its errors: the same
+    exception, message and position for the first failing term.  Like
+    ``parse_ket`` it raises ``ValidationError`` on the zero vector.
+    """
+    amps: dict[str, complex] = {}
+    width = None
+    for m in _TERM_RE.finditer(text):
+        sign, coef, root, num, den, re_part, op, im_part, dec, bits = m.groups()
+        if bits is None or (sign is None and amps):
+            break
+        if dec is not None:
+            value = complex(float(dec))
+        elif re_part is not None:
+            value = complex(float(re_part), -float(im_part) if op == "-" else float(im_part))
+        elif coef is not None:
+            value = _ratio(root, num, den, m.start(2))
+        else:
+            value = 1.0 + 0.0j
+        if len(bits) != width:
+            if width is not None:
+                raise KetSyntaxError(
+                    f"ket has {len(bits)} bits, earlier kets have {width}", m.start(10) - 1
+                )
+            width = len(bits)
+            _check_qubit_cap(width)
+        value = -value if sign == "-" else value
+        # The first value of a label is kept as it is, signed zeros included.
+        amps[bits] = amps[bits] + value if bits in amps else value
+    if not amps or text[m.start() :].strip():
+        _term_error(text, m.start(), not amps)
+
+    vec = np.zeros(2**width, dtype=np.complex128)
+    for bits, value in amps.items():
+        vec[int(bits, 2)] = value
+    if not vec.any():
+        raise ValidationError("expression sums to the zero vector")
+    return vec
 
 def complex_to_json(arr):
     """``[{"re": .., "im": ..}, ...]`` for the entries of ``arr`` in row-major order."""

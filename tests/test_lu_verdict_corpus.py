@@ -25,6 +25,7 @@ import pathlib
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from qhyper import (
     Hypermatrix,
@@ -56,6 +57,8 @@ def _amplitudes(kind, n, rng, gap=NEAR_GAP):
     elif kind == "near-degenerate":
         # Orthogonal qubit-1 halves with norms 1 and 1 - gap: the mode-1
         # singular values then have relative gap ``gap``.
+        if n < 2:
+            raise ValueError("near-degenerate states need n >= 2: a one-entry half has no orthogonal partner")
         a, b = z[: 2 ** (n - 1)], z[2 ** (n - 1) :]
         a /= np.linalg.norm(a)
         b -= np.vdot(a, b) * a
@@ -129,6 +132,12 @@ def test_near_degenerate_lu_copies_keep_matching():
             amp = _amplitudes("near-degenerate", n, rng, gap=2e-6)
             tags[lu_equivalence(_hyper(amp), _lu_relabelled(amp, rng)).tag.value] += 1
     assert tags == {"EquivalentCoreMatch": 160}
+
+
+
+def test_near_degenerate_needs_two_qubits():
+    with pytest.raises(ValueError, match="n >= 2"):
+        _amplitudes("near-degenerate", 1, np.random.default_rng(0))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import oracles
 from qhyper import (
     Hypermatrix,
     KetSyntaxError,
+    QhyperError,
     QubitState,
     SizeCapError,
     ValidationError,
@@ -143,6 +144,18 @@ SYNTAX_ERRORS = [
     ("0.5 * * |0>", 6, "expected '|bits>'"),
     ("|0> + (1e5-2.5e-3i) *|1x>", 21, "expected '|bits>'"),
     ("|0>\u00a0x", 4, "expected '+', '-' or end of input"),
+    # a fraction or root whose runs are not all digits, or whose numerator is not '1'
+    ("1.0/sqrt(2)|0>", 3, "expected '|bits>'"),
+    ("01/sqrt(2)|0>", 2, "expected '|bits>'"),
+    ("1/2.0|0>", 3, "expected '|bits>'"),
+    # a complex coefficient without its operator or with a space after its
+    # real part's sign, a second exponent or none after the 'e' of a later term,
+    # a Unicode bit
+    ("(1 2i)|0>", 0, "expected a coefficient or '|'"),
+    ("(- 1+2i)|0>", 0, "expected a coefficient or '|'"),
+    ("1e5e5|0>", 3, "expected '|bits>'"),
+    ("0.5|0> + 1e|1>", 10, "expected '|bits>'"),
+    ("|\u0661>", 0, "expected '|bits>'"),
 ]
 
 
@@ -152,6 +165,68 @@ def test_parse_syntax_errors_carry_position():
             parse_ket(text, norm="skip")
         assert (text, str(err.value)) == (text, f"{message} (at position {position})")
         assert err.value.position == position
+
+
+def _long_ket(n, terms, seed):
+    """``terms`` terms over n-qubit labels, which repeat once ``terms`` passes
+    2^n, in every coefficient form, joined by ASCII and Unicode whitespace."""
+    rng = np.random.default_rng(seed)
+    coefficients = [
+        lambda: "",
+        lambda: repr(abs(float(rng.standard_normal()))),
+        lambda: f"{rng.integers(1, 9)}e-05",
+        lambda: "0.0",
+        lambda: f"{rng.integers(0, 50)} / {rng.integers(1, 50)}",
+        lambda: f"1/sqrt( {rng.integers(1, 50)} )",
+        lambda: f"({rng.standard_normal()!r}-{abs(rng.standard_normal())!r}i)",
+        lambda: "(-0.0-0.0i) *",
+        lambda: "(+1.5E+2 +0.0i)",
+        lambda: "\u0661",
+    ]
+    separators = [" + ", " - ", "\x1c+\u00a0", "\n-\t", "+"]
+    text = []
+    for j in range(terms):
+        coef = coefficients[rng.integers(len(coefficients))]()
+        text.append(separators[rng.integers(len(separators))] if j else "")
+        text.append(f"{coef}|{j % 2**n:0{n}b}>")
+    return "".join(text)
+
+
+def _read(parse, text):
+    try:
+        return QubitState(parse(text), norm="skip").amplitudes.tobytes()
+    except QhyperError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parse_long_kets_across_chunks_match_the_reference():
+    for n, terms in ((10, 12000), (12, 12000), (14, 2**14)):
+        text = _long_ket(n, terms, n)
+        assert len(text) > 3 * 2**16  # several of the lexer's chunks
+        got = parse_ket(text, norm="skip").amplitudes
+        assert got.tobytes() == oracles.parse_ket_reference(text).tobytes()
+        assert got.tobytes() == oracles.ket_amplitudes(text).tobytes()
+    # errors in the last term of a long ket
+    head = text[: text.rindex("+") - 1]
+    for tail in [" + |" + "0" * 13 + "2>", " + |0>", " + 1/0|" + "0" * 14 + ">", " |" + "0" * 14 + ">", " + x"]:
+        expect = _read(oracles.parse_ket_reference, head + tail)
+        assert isinstance(expect, tuple) and expect[2] > 2**16
+        assert _read(lambda t: parse_ket(t, norm="skip").amplitudes, head + tail) == expect
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0|" + "0" * 30 + ">",  # the first term's value is read before its width is capped
+        "|" + "0" * 30 + "> + 1/0|0>",  # the cap comes before any later term
+        "|0> + 1/0|00>",  # a term's value is read before its width is checked
+        "|0> + |00> + 1/0|0>",
+    ],
+)
+def test_parse_reports_the_first_error_in_term_order(text):
+    expect = _read(oracles.parse_ket_reference, text)
+    assert isinstance(expect, tuple)
+    assert _read(lambda t: parse_ket(t, norm="skip").amplitudes, text) == expect
 
 
 def test_parse_norm_policy():

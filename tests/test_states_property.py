@@ -7,6 +7,7 @@ is skipped without it.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qhyper import QhyperError, QubitState, ValidationError, parse_ket, state_from_json  # noqa: E402
+from qhyper import states  # noqa: E402
 from qhyper.cli import _load_state  # noqa: E402
 
 # Decimals with exponents up to +-400, so squared norms (and the
@@ -134,3 +136,47 @@ def test_parse_ket_matches_the_character_loop_oracle(text):
             parse_ket(text, norm="skip")
         return
     assert parse_ket(text, norm="skip").amplitudes.tobytes() == expect.tobytes()
+
+
+# Characters the lexer classifies apart: ASCII and Unicode whitespace
+# (\x1c, no-break and em spaces), an Arabic-Indic digit, exponent letters,
+# and the grammar's own characters and words.
+pieces = st.sampled_from(
+    list("01259|<>+-*/.()eEi x\t\n\x1c\u00a0\u2003\u0661") + ["sqrt", "sqrt(", "1/sqrt(", "|01>", " + "]
+)
+
+
+@st.composite
+def mutated(draw, texts):
+    """``texts`` with one piece inserted or put in place of a character, or one character deleted."""
+    text = draw(texts)
+    pos = draw(st.integers(0, len(text)))
+    new = draw(pieces)
+    return draw(st.sampled_from([
+        text[:pos] + new + text[pos:],
+        text[:pos] + new + text[pos + 1 :],
+        text[:pos] + text[pos + 1 :],
+    ]))
+
+
+def _outcome(read, text):
+    """Byte-exact amplitudes, or the exception's type, message and position."""
+    try:
+        return read(text).tobytes()
+    except QhyperError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+ket_texts = kets() | well_formed_kets()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    text=ket_texts | mutated(ket_texts) | st.lists(pieces, max_size=30).map("".join),
+    chunk=st.sampled_from([1, 4, 9, states._CHUNK]),
+)
+def test_parse_ket_matches_the_per_term_reference(text, chunk):
+    # Shrinking the chunk makes short texts cross the lexer's chunk boundaries.
+    with mock.patch.object(states, "_CHUNK", chunk):
+        got = _outcome(lambda t: parse_ket(t, norm="skip").amplitudes, text)
+    assert got == _outcome(lambda t: QubitState(oracles.parse_ket_reference(t), norm="skip").amplitudes, text)
