@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import compress
 
 import numpy as np
 
@@ -176,8 +175,7 @@ _SHAPE_RE = re.compile(
     rb" ?(?:([+-]) ?)?(?:(#|\( ?([+-]?)# ?([+-]) ?# ?i ?\)|(# ?/ ?(?:sqrt\( ?# ?\)|#))) ?(?:\* ?)?)?\|#"
 )
 _BARE, _DECIMAL, _COMPLEX, _FRACTION = range(4)
-_RUNS = np.array([1, 2, 3, 3])  # number runs in a term of each form, its bits included
-_FLOATS = np.array([0, 1, 2, 0])  # of them read by float()
+_FLOATS = np.array([0, 1, 2, 0])  # numbers float() reads in a term of each form
 
 
 def _shape_row(shape):
@@ -264,7 +262,6 @@ def _read_chunk(text, start, stop, k0, width):
     np.not_equal(cls[1:], cls[:-1], out=keep[1:])
     keep[1:] |= cls[1:] > ord("#")
     pieces = cls[keep].tobytes().split(b">")
-    runs = raw.translate(_NUMBERS).split()
     # Each term that parses has one '|' and ends at a '>', so up to the first
     # one that does not, the '|' of term k is marks[2k] and its '>' marks[2k + 1].
     marks = np.flatnonzero((cls == ord("|")) | (cls == ord(">")))
@@ -289,6 +286,8 @@ def _read_chunk(text, start, stop, k0, width):
     elif stop == len(text) and (pieces[n].strip() or not n + k0):
         fail = n  # text after the last term, or no term at all
 
+    # float() reads every number run but the bits and the fractions' digits.
+    numbers = np.frombuffer(bytearray(raw.translate(_NUMBERS)), np.uint8)
     fractions = {}
     for k in np.flatnonzero(form[:fail] == _FRACTION).tolist():
         head = _HEAD_RE.match(text, piece_start(k))
@@ -296,21 +295,7 @@ def _read_chunk(text, start, stop, k0, width):
             fail = k  # a run is not all digits, or the root's numerator is not '1'
             break
         fractions[k] = (*head.group(3, 4, 5), head.start(2))
-    form = form[:fail]
-    ends = np.cumsum(_RUNS[form])  # one past each term's last number run, its bits
-    nf = _FLOATS[form]
-    slot = np.zeros(int(ends[-1]) if ends.size else 0, dtype=bool)
-    slot[ends[nf > 0] - 2] = True
-    slot[ends[nf == 2] - 3] = True
-    try:
-        floats = np.fromiter(map(float, compress(runs, slot.tolist())), np.float64, int(nf.sum()))
-    except ValueError:
-        for j, token in enumerate(compress(runs, slot.tolist())):
-            try:
-                float(token)
-            except ValueError:
-                fail = min(fail, int(np.searchsorted(np.cumsum(nf), j, "right")))
-                break
+        numbers[head.start(2) - start : head.end(2) - start] = ord(" ")
 
     ok = min(fail, n)  # the terms that may parse
     if k0 + ok == 0:
@@ -328,13 +313,26 @@ def _read_chunk(text, start, stop, k0, width):
             _check_qubit_cap(width)
     wrong = np.flatnonzero(lens != width)
     other = int(wrong[0]) if wrong.size else ok  # the first term of another bit count
-    bits = raw[bar[:other, None] + 1 + np.arange(width)]
-    not_bits = _not_bits(bits).any(axis=1)
-    if not_bits.any():
-        fail = ok = min(fail, int(not_bits.argmax()))
+    at = (bar[:other] + 1)[:, None] + np.arange(width)
+    bits = raw[at]
+    if _not_bits(bits).any():
+        fail = int(_not_bits(bits).any(axis=1).argmax())
     elif other < ok and _not_bits(raw[bar[other] + 1 : gt[other]]).any():
-        fail = ok = other
+        fail = other
+    numbers[at] = ord(" ")
+    nf = _FLOATS[form[: min(fail, other + 1)]]
+    tokens = numbers.tobytes().split()[: int(nf.sum())]
+    try:
+        floats = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        for j, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                fail = min(fail, int(np.searchsorted(np.cumsum(nf), j, "right")))
+                break
 
+    ok = min(fail, n)
     re_parts = np.ones(ok)
     for k, args in fractions.items():
         if k < ok and k <= other:  # a term's value is read before its bit count is checked

@@ -2,8 +2,9 @@
 
 Every call must return a ``QubitState`` or raise a ``QhyperError``;
 any other exception, or a NumPy warning (pytest turns warnings into
-errors), fails.  Needs the optional ``hypothesis`` package; the module
-is skipped without it.
+errors), fails.  Ket text is also read by the per-term reference reader,
+and the two must agree byte for byte or raise the same error.  Needs the
+optional ``hypothesis`` package; the module is skipped without it.
 """
 
 import json
