@@ -302,11 +302,11 @@ def _read_chunk(text, start, stop, k0, width):
         _term_error(text, start, True)
     bar, gt = marks[: 2 * ok : 2], marks[1 : 2 * ok : 2]
     lens = gt - bar - 1
-    raw = np.frombuffer(raw, np.uint8)
+    codes = np.frombuffer(raw, np.uint8)
     if k0 == 0:
         width = int(lens[0])
         if width > MAX_QUBITS:  # the first term's bits and value come before the cap
-            if _not_bits(raw[bar[0] + 1 : gt[0]]).any():
+            if _not_bits(codes[bar[0] + 1 : gt[0]]).any():
                 _term_error(text, start, True)
             if 0 in fractions:
                 _ratio(*fractions[0])
@@ -314,10 +314,10 @@ def _read_chunk(text, start, stop, k0, width):
     wrong = np.flatnonzero(lens != width)
     other = int(wrong[0]) if wrong.size else ok  # the first term of another bit count
     at = (bar[:other] + 1)[:, None] + np.arange(width)
-    bits = raw[at]
+    bits = codes[at]
     if _not_bits(bits).any():
         fail = int(_not_bits(bits).any(axis=1).argmax())
-    elif other < ok and _not_bits(raw[bar[other] + 1 : gt[other]]).any():
+    elif other < ok and _not_bits(codes[bar[other] + 1 : gt[other]]).any():
         fail = other
     numbers[at] = ord(" ")
     nf = _FLOATS[form[: min(fail, other + 1)]]
