@@ -194,14 +194,18 @@ def _not_bits(codes):
     return codes | 1 != ord("1")
 
 
-def _stand_ins(chunk):
-    """Map each non-ASCII character of ``chunk`` to one Latin-1 character of its class:
-    whitespace to ' ', a digit d to chr(0x80 + d), anything else to '\\xff'."""
-    return {
-        ord(c): " " if c.isspace() else chr(0x80 + int(c)) if c.isdecimal() else "\xff"
-        for c in set(chunk)
-        if not c.isascii()
-    }
+def _stand_in_bytes(chunk):
+    """One byte per character of a non-ASCII ``chunk``: ASCII as it is, and any
+    other character by its class, whitespace ' ', a digit d the byte 0x80 + d,
+    anything else 0xFF."""
+    points = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), np.uint32)
+    wide = points >= 0x80
+    distinct, where = np.unique(points[wide], return_inverse=True)
+    chars = map(chr, distinct.tolist())
+    codes = np.array([ord(" ") if c.isspace() else 0x80 + int(c) if c.isdecimal() else 0xFF for c in chars], np.uint8)
+    out = points.astype(np.uint8)
+    out[wide] = codes[where]
+    return out.tobytes()
 
 
 def _ratio(root, num, den, pos):
@@ -250,7 +254,7 @@ def _read_chunk(text, start, stop, k0, width):
     then a fraction's value, then its bit count.
     """
     chunk = text[start:stop]
-    raw = chunk.encode("ascii") if chunk.isascii() else chunk.translate(_stand_ins(chunk)).encode("latin-1")
+    raw = chunk.encode("ascii") if chunk.isascii() else _stand_in_bytes(chunk)
     if b"e" in raw or b"E" in raw:
         buf = bytearray(raw)
         arr = np.frombuffer(buf, np.uint8)

@@ -140,10 +140,11 @@ def test_parse_ket_matches_the_character_loop_oracle(text):
 
 
 # Characters the lexer classifies apart: ASCII and Unicode whitespace
-# (\x1c, no-break and em spaces), an Arabic-Indic digit, exponent letters,
-# and the grammar's own characters and words.
+# (\x1c, next-line, no-break and em spaces), an Arabic-Indic digit, a lone
+# surrogate, exponent letters, and the grammar's own characters and words.
 pieces = st.sampled_from(
-    list("01259|<>+-*/.()eEi x\t\n\x1c\u00a0\u2003\u0661") + ["sqrt", "sqrt(", "1/sqrt(", "|01>", " + "]
+    list("01259|<>+-*/.()eEi x\t\n\x1c\x85\u00a0\u2003\u0661\ud800")
+    + ["sqrt", "sqrt(", "1/sqrt(", "|01>", " + "]
 )
 
 
