@@ -139,7 +139,7 @@ _COEF = (
 _HEAD_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(" + _COEF + r")\s*(?:\*\s*)?)?")
 _KET_RE = re.compile(r"\|([01]+)>")
 
-_CHUNK = 1 << 16  # characters lexed at a time, which bounds the lexer's temporaries
+_CHUNK = 1 << 16  # characters lexed at a time, up to the next '>'
 
 # Number runs: digits, '.', 'e'/'E' and an exponent's sign, whose high bit is
 # set first (0xAB, 0xAD) so that translate can tell it from a term's sign.
@@ -252,6 +252,11 @@ def _read_chunk(text, start, stop, k0, width):
     (None when ``k0`` is 0).  The error of the first failing term is
     raised, in the order the terms are read: within a term its syntax,
     then a fraction's value, then its bit count.
+
+    The temporaries are a few bytes per character of the chunk and a few
+    words per term, so they grow with the chunk's longest term and its
+    term count rather than staying within ``_CHUNK``: a single 5 MB
+    coefficient, or 200000 short terms, take tens of MiB.
     """
     chunk = text[start:stop]
     raw = chunk.encode("ascii") if chunk.isascii() else _stand_in_bytes(chunk)
@@ -289,6 +294,8 @@ def _read_chunk(text, start, stop, k0, width):
         fail = int(bad.argmax())
     elif stop == len(text) and (pieces[n].strip() or not n + k0):
         fail = n  # text after the last term, or no term at all
+    if k0 == 0 and fail and marks[1] - marks[0] - 1 > MAX_QUBITS:
+        fail = 1  # a first term over the cap is read alone, and its width raised once it parses
 
     # float() reads every number run but the bits and the fractions' digits.
     numbers = np.frombuffer(bytearray(raw.translate(_NUMBERS)), np.uint8)
@@ -309,12 +316,6 @@ def _read_chunk(text, start, stop, k0, width):
     codes = np.frombuffer(raw, np.uint8)
     if k0 == 0:
         width = int(lens[0])
-        if width > MAX_QUBITS:  # the first term's bits and value come before the cap
-            if _not_bits(codes[bar[0] + 1 : gt[0]]).any():
-                _term_error(text, start, True)
-            if 0 in fractions:
-                _ratio(*fractions[0])
-            _check_qubit_cap(width)
     wrong = np.flatnonzero(lens != width)
     other = int(wrong[0]) if wrong.size else ok  # the first term of another bit count
     at = (bar[:other] + 1)[:, None] + np.arange(width)
@@ -341,6 +342,8 @@ def _read_chunk(text, start, stop, k0, width):
     for k, args in fractions.items():
         if k < ok and k <= other:  # a term's value is read before its bit count is checked
             re_parts[k] = _ratio(*args).real
+    if ok:  # the first term's width, after its syntax, bits and value
+        _check_qubit_cap(width)
     if other < ok:
         raise KetSyntaxError(f"ket has {lens[other]} bits, earlier kets have {width}", start + int(bar[other]))
     if fail < len(pieces):
@@ -395,19 +398,14 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
     values.real, values.imag = re_parts, im_parts
 
     vec = np.zeros(2**width, dtype=np.complex128)
-    seen = np.zeros(vec.size, dtype=bool)
-    seen[labels] = True
-    if np.count_nonzero(seen) == labels.size:
-        vec[labels] = values
-    else:
-        # The first value of a label is kept as it is, signed zeros included,
-        # and the later ones are added to it in text order.
-        first = np.unique(labels, return_index=True)[1]
-        later = np.ones(labels.size, dtype=bool)
-        later[first] = False
-        vec[labels[first]] = values[first]
-        with np.errstate(all="ignore"):
-            np.add.at(vec, labels[later], values[later])
+    # The first value of a label is kept as it is, signed zeros included,
+    # and the later ones are added to it in text order.
+    first = np.unique(labels, return_index=True)[1]
+    later = np.ones(labels.size, dtype=bool)
+    later[first] = False
+    vec[labels[first]] = values[first]
+    with np.errstate(all="ignore"):
+        np.add.at(vec, labels[later], values[later])
     if not vec.any():
         raise ValidationError("expression sums to the zero vector")
     if norm == "check":

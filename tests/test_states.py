@@ -220,6 +220,8 @@ def test_parse_long_kets_across_chunks_match_the_reference():
         "1/0|" + "0" * 30 + ">",  # the first term's value is read before its width is capped
         "|" + "0" * 30 + "> + 1/0|0>",  # the cap comes before any later term
         "|" + "0" * 29 + "2>",  # and its bits before that
+        "1.2.3|" + "0" * 27 + ">",  # and its numbers before that
+        "(1e5e5+1i)|" + "0" * 27 + ">",
         "|0> + 1/0|00>",  # a term's value is read before its width is checked
         "|0> + 1e|00>",  # and its syntax before that
         "|0> + |00> + 1/0|0>",
