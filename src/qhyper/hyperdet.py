@@ -26,6 +26,14 @@ sigma string is the antidiagonal of the 2n-fold tensor power of the
 second Pauli matrix, which makes the pairing above proportional to the
 overlap behind the n-tangle.
 
+The strings are built as packed bits, one bit per sign (1 = minus, in
+``np.packbits`` order), so that a ~ quarter of the doubling is the
+bitwise inverse of S and a 4^13-sign string takes 8 MiB.
+``verify_antidiagonal_identity`` builds ent and sigma by their recursions
+and chi from popcounts on every call and compares them 64 signs per
+word; ``sign_string_ent``, ``sign_string_sigma`` and ``chi_signs`` unpack
+the same bits to one int8 per sign.
+
 Since ent = chi, ``hdet_fast`` builds neither string.  It walks the
 first half of the amplitudes in rows of min(4^n / 2, 4^7) entries and
 pairs row i with row i of the reversed amplitudes (both views), weighted
@@ -86,7 +94,7 @@ def _check_sign_n(n):
 
 @dataclass(frozen=True)
 class SignString:
-    """A +-1 pattern of length 4^n, stored packed as int8.
+    """A +-1 pattern of length 4^n, stored as one int8 per sign.
 
     ``kind`` records which recursion produced it ("ent" or "sigma").
     """
@@ -125,24 +133,45 @@ def chi(bits: str) -> int:
     return 1 if bits.count("1") % 2 == 0 else -1
 
 
-def _doubling(n, base, quarters):
-    """Read-only int8 string of length 4^n from ``base`` by the doubling
-    S -> q0*S q1*S q2*S q3*S with each q = +-1, each step written into one
-    preallocated array (quarter 0 last, since it overwrites S)."""
-    s = np.empty(4**n, dtype=np.int8)
-    s[:4] = base
-    size = 4
-    for _ in range(n - 1):
+def _doubling_bits(n, base, quarters):
+    """The 4^n signs of the doubling S -> q0*S q1*S q2*S q3*S from the int8
+    ``base``, each q = +-1, as packed bits (1 = minus, ``np.packbits`` order).
+    The first step runs on int8 until whole bytes exist; each later step
+    writes one preallocated byte array, a quarter being a copy of S or its
+    bitwise inverse (quarter 0 last, since it overwrites S).  At n = 1 the
+    four signs fill the high half of one byte and the pad bits are 0."""
+    first = base if n == 1 else np.concatenate([q * base for q in quarters])
+    head = np.packbits(first < 0)
+    size = head.size
+    s = np.empty(max(4**n // 8, size), dtype=np.uint8)
+    s[:size] = head
+    for _ in range(n - 2):
         head = s[:size]
         for j in (3, 2, 1, 0):
             quarter = s[j * size : (j + 1) * size]
             if quarters[j] > 0:
                 np.copyto(quarter, head)
             else:
-                np.negative(head, out=quarter)
+                np.invert(head, out=quarter)
         size *= 4
-    s.setflags(write=False)
     return s
+
+
+def _ent_bits(n):
+    return _doubling_bits(n, _P_BLOCK, (1, -1, -1, 1))
+
+
+def _sigma_bits(n):
+    return _doubling_bits(n, _N_BLOCK, (-1, 1, 1, -1))
+
+
+def _signs(bits, n):
+    """Read-only int8 +-1 signs of the first 4^n packed bits (1 = minus)."""
+    signs = np.unpackbits(bits, count=4**n).view(np.int8)
+    signs *= -2
+    signs += 1
+    signs.setflags(write=False)
+    return signs
 
 
 def sign_string_ent(n: int) -> SignString:
@@ -151,7 +180,7 @@ def sign_string_ent(n: int) -> SignString:
     Built by the doubling S -> S ~S ~S S from the base P = "+--+".
     """
     n = _check_sign_n(n)
-    return SignString(signs=_doubling(n, _P_BLOCK, (1, -1, -1, 1)), n=n, kind="ent")
+    return SignString(signs=_signs(_ent_bits(n), n), n=n, kind="ent")
 
 
 def sign_string_sigma(n: int) -> SignString:
@@ -160,7 +189,7 @@ def sign_string_sigma(n: int) -> SignString:
     Built by the doubling S -> ~S S S ~S from the base N = "-++-".
     """
     n = _check_sign_n(n)
-    return SignString(signs=_doubling(n, _N_BLOCK, (-1, 1, 1, -1)), n=n, kind="sigma")
+    return SignString(signs=_signs(_sigma_bits(n), n), n=n, kind="sigma")
 
 
 def _parity_signs(idx):
@@ -172,6 +201,18 @@ _CHI_BLOCK = _parity_signs(np.arange(4**_BLOCK_N, dtype=np.uint64))  # chi over 
 _CHI_BLOCK.setflags(write=False)
 
 
+def _chi_bits(n):
+    """chi on all 2n-bit strings in lexicographic order as packed bits
+    (1 = minus), from popcounts and independent of the doubling recursions:
+    the parity of j = i * 4^k + r is the parity of i times that of r, so
+    row i is the first 4^k entries of the one chi block, packed, and
+    inverted when i has odd parity, k <= 7."""
+    k = min(n, _BLOCK_N)
+    block = np.packbits(_CHI_BLOCK[: 4**k] < 0)
+    flips = (np.bitwise_count(np.arange(4 ** (n - k), dtype=np.uint64)) & 1) * 0xFF
+    return np.bitwise_xor(flips[:, None], block).reshape(-1)
+
+
 def chi_signs(n: int) -> np.ndarray:
     """chi evaluated on all 2n-bit strings in lexicographic order.
 
@@ -181,11 +222,7 @@ def chi_signs(n: int) -> np.ndarray:
     block starts and the first 4^k entries of the one chi block, k <= 7.
     """
     n = _check_sign_n(n)
-    k = min(n, _BLOCK_N)
-    starts = _parity_signs(np.arange(4 ** (n - k), dtype=np.uint64))
-    out = np.multiply.outer(starts, _CHI_BLOCK[: 4**k]).reshape(-1)
-    out.setflags(write=False)
-    return out
+    return _signs(_chi_bits(n), n)
 
 
 def _antidiagonal(n, string, scale):
@@ -209,24 +246,31 @@ def sigma_y_dense(n: int) -> np.ndarray:
     return _antidiagonal(n, sign_string_sigma, 1.0)
 
 
-def _first_differences(ent, sigma, chi, factor):
-    """``[string_at, chi_at]``: the first index where ``ent != factor * sigma``
-    and where ``ent != chi``, or None.  One pass over chunks of up to 16 * 4^7
-    entries (256 KiB), eight entries at a time through int64 views (int8 when
-    a chunk is shorter than a word); the index is found only in a differing chunk.
+def _first_differences(ent, sigma, chi, size, factor):
+    """``[string_at, chi_at]``: the first sign index where ``ent != factor * sigma``
+    and where ``ent != chi``, or None, from the packed strings.  One pass over
+    chunks of up to 256 KiB, 64 signs at a time through uint64 views of the XOR
+    (uint8 when a chunk is shorter than a word), inverted to compare with
+    -sigma; the index comes from the first differing byte of a differing chunk.
+    A difference in the pad bits past ``size`` signs (n = 1) does not count.
     """
-    step = min(ent.size, 16 * 4**_BLOCK_N)
-    word = np.int64 if step % 8 == 0 else np.int8
-    flipped = np.empty(step, dtype=np.int8)
+    step = min(ent.size, 1 << 18)
+    word = np.uint64 if step % 8 == 0 else np.uint8
+    diff = np.empty(step, dtype=np.uint8)
+    words = diff.view(word)
     found = [None, None]
     for start in range(0, ent.size, step):
-        x = ent[start : start + step]
-        y = sigma[start : start + step]
-        if factor < 0:
-            y = np.negative(y, out=flipped)
-        for k, other in enumerate((y, chi[start : start + step])):
-            if found[k] is None and not (x.view(word) == other.view(word)).all():
-                found[k] = start + int(np.argmin(x == other))
+        x = ent[start : start + step].view(word)
+        for k, (other, negate) in enumerate(((sigma, factor < 0), (chi, False))):
+            if found[k] is not None:
+                continue
+            np.bitwise_xor(x, other[start : start + step].view(word), out=words)
+            if negate:
+                np.invert(words, out=words)
+            if words.any():
+                at = int(np.flatnonzero(diff)[0])
+                sign = 8 * (start + at + 1) - int(diff[at]).bit_length()
+                found[k] = sign if sign < size else None
         if None not in found:
             break
     return found
@@ -258,16 +302,19 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
     matrices, that the ent antidiagonal equals the 2n-fold Kronecker
     power of [[0, -1], [1, 0]] built independently of the recursions
     (equivalent to the half-Pauli-power identity since the Pauli power
-    is (-1)^n times that Kronecker power).  Defaults to on for n <= 5.
+    is (-1)^n times that Kronecker power).  Defaults to on for n <= 5;
+    anything but None or a bool raises ValidationError.
     """
     n = _check_sign_n(n)
+    if dense is not None and not isinstance(dense, (bool, np.bool_)):
+        raise ValidationError(f"dense must be None or a bool, got {dense!r}")
     if dense is None:
         dense = n <= 5
     if dense and n > DENSE_CAP_N:
         raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
     factor = (-1) ** n
-    ent = sign_string_ent(n).signs
-    string_at, chi_at = _first_differences(ent, sign_string_sigma(n).signs, chi_signs(n), factor)
+    ent = _ent_bits(n)
+    string_at, chi_at = _first_differences(ent, _sigma_bits(n), _chi_bits(n), 4**n, factor)
     string_ok = string_at is None
     chi_ok = chi_at is None
     first = chi_at if string_ok else string_at
@@ -278,7 +325,7 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
         power = np.array([[1]], dtype=np.int8)
         for _ in range(2 * n):
             power = np.kron(power, K)
-        ent_dense = np.fliplr(np.diag(ent))
+        ent_dense = np.fliplr(np.diag(_signs(ent, n)))
         # Ent signs == K-power exactly; the (-1)^n from the Pauli phase
         # cancels the (-1)^n relating ent to sigma.
         dense_ok = bool(np.array_equal(ent_dense, power))

@@ -156,7 +156,7 @@ def test_sign_strings_are_immutable():
         sign_string_ent(2).signs[0] = -1
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_sign_strings_match_concatenated_doubling(n):
     for string, base, quarters in (
         (sign_string_ent(n), [1, -1, -1, 1], (1, -1, -1, 1)),
@@ -168,7 +168,7 @@ def test_sign_strings_match_concatenated_doubling(n):
         assert not string.signs.flags.writeable
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_chi_signs_match_popcount_oracle(n):
     got = chi_signs(n)
     assert got.dtype == np.int8
@@ -244,6 +244,22 @@ def test_verify_dense_flag():
         verify_antidiagonal_identity(8, dense=True)
 
 
+@pytest.mark.parametrize("dense", ["no", "off", 0, 1, np.int8(1)])
+def test_verify_dense_must_be_none_or_a_bool(dense):
+    # n = 9 is past the dense cap, so a truthy non-bool used to raise
+    # SizeCapError there for a check the caller meant to decline.
+    for n in (3, 9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="dense must be None or a bool"):
+                verify_antidiagonal_identity(n, dense=dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+    assert verify_antidiagonal_identity(3, dense=np.bool_(False)).dense_ok is None
+
+
 def test_verify_dense_cap_checked_before_allocation():
     # n = 12 builds three 4^12-entry strings when the cap is checked late.
     tracemalloc.start()
@@ -256,29 +272,56 @@ def test_verify_dense_cap_checked_before_allocation():
     assert peak < 1 << 20
 
 
-def _flipped(signs, index):
-    out = np.array(signs)
-    out[index] = -out[index]
+def test_verify_peak_memory_at_n12():
+    # Three 4^12-sign strings are 2 MiB each packed, 16 MiB each as int8.
+    tracemalloc.start()
+    try:
+        report = verify_antidiagonal_identity(12, dense=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 << 20
+
+
+def test_verify_passes_at_the_sign_cap_within_32_mib():
+    n = hyperdet.MAX_SIGN_N
+    tracemalloc.start()
+    try:
+        report = verify_antidiagonal_identity(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.n, report.factor, report.passed) == (n, (-1) ** n, True)
+    assert report.first_mismatch is None and report.dense_ok is None
+    assert peak < 32 << 20
+
+
+def _flipped(bits, index):
+    """A copy of the packed signs ``bits`` with sign ``index`` flipped."""
+    out = np.array(bits)
+    out[index // 8] ^= 0x80 >> (index % 8)
     return out
 
 
+def _plant_chi(monkeypatch, index):
+    real = hyperdet._chi_bits
+    monkeypatch.setattr(hyperdet, "_chi_bits", lambda n: _flipped(real(n), index))
+
+
 def _plant_sigma(monkeypatch, index):
-    real = hyperdet.sign_string_sigma
-    monkeypatch.setattr(
-        hyperdet,
-        "sign_string_sigma",
-        lambda n: SignString(_flipped(real(n).signs, index), n, "sigma"),
-    )
+    real = hyperdet._sigma_bits
+    monkeypatch.setattr(hyperdet, "_sigma_bits", lambda n: _flipped(real(n), index))
 
 
-# n = 10 spans four comparison chunks of 4^9 entries.
+# n = 10 is one comparison chunk of 2^20 signs: its first, a middle and its
+# last sign.
 PLANTED = (0, 4**10 // 2 + 3, 4**10 - 1)
 
 
 @pytest.mark.parametrize("index", PLANTED)
 def test_verify_reports_a_planted_chi_mismatch(monkeypatch, index):
-    real = hyperdet.chi_signs
-    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), index))
+    _plant_chi(monkeypatch, index)
     report = verify_antidiagonal_identity(10)
     assert (report.string_ok, report.chi_ok, report.passed) == (True, False, False)
     assert report.first_mismatch == index
@@ -288,8 +331,7 @@ def test_verify_reports_a_planted_chi_mismatch(monkeypatch, index):
 def test_verify_reports_the_string_mismatch_first(monkeypatch, index):
     # A chi mismatch at another index, earlier or later, must not win.
     other = PLANTED[(PLANTED.index(index) + 1) % len(PLANTED)]
-    real_chi = hyperdet.chi_signs
-    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real_chi(n), other))
+    _plant_chi(monkeypatch, other)
     _plant_sigma(monkeypatch, index)
     report = verify_antidiagonal_identity(10)
     assert (report.string_ok, report.chi_ok, report.passed) == (False, False, False)
@@ -297,17 +339,19 @@ def test_verify_reports_the_string_mismatch_first(monkeypatch, index):
 
 
 # Odd n compares ent with the negated sigma; n = 1 and 2 are one chunk
-# of 4 and 16 entries; n = 11 spans sixteen chunks.
+# of 4 and 16 signs (one and two bytes); n = 3 is one 64-sign word; n = 11
+# spans two chunks of 2^21 signs.  Signs 8k+7 and 8k+8 sit on each side of
+# a byte boundary.
 PLANTED_ANY_N = [
-    (1, 0), (1, 3), (2, 5), (2, 15), (9, 4**9 // 2 + 1), (9, 4**9 - 1),
-    (11, 0), (11, 4**11 // 2 + 3), (11, 4**11 - 1),
+    (1, 0), (1, 3), (2, 5), (2, 7), (2, 8), (2, 15), (3, 63),
+    (9, 4**9 // 2 + 1), (9, 8 * 1000 + 7), (9, 8 * 1000 + 8), (9, 4**9 - 1),
+    (11, 0), (11, 2**21 - 1), (11, 2**21), (11, 4**11 // 2 + 3), (11, 4**11 - 1),
 ]
 
 
 @pytest.mark.parametrize("n, index", PLANTED_ANY_N)
 def test_verify_reports_a_planted_chi_mismatch_at_any_n(monkeypatch, n, index):
-    real = hyperdet.chi_signs
-    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), index))
+    _plant_chi(monkeypatch, index)
     report = verify_antidiagonal_identity(n)
     assert (report.string_ok, report.chi_ok, report.passed) == (True, False, False)
     assert report.first_mismatch == index
@@ -324,12 +368,56 @@ def test_verify_reports_a_planted_string_mismatch_at_any_n(monkeypatch, n, index
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11])
 @pytest.mark.parametrize("string_at, chi_at", [(3, 1), (1, 3), (2, 2)])
 def test_verify_string_mismatch_wins_within_one_chunk(monkeypatch, n, string_at, chi_at):
-    real = hyperdet.chi_signs
-    monkeypatch.setattr(hyperdet, "chi_signs", lambda n: _flipped(real(n), chi_at))
+    _plant_chi(monkeypatch, chi_at)
     _plant_sigma(monkeypatch, string_at)
     report = verify_antidiagonal_identity(n)
     assert (report.string_ok, report.chi_ok, report.passed) == (False, False, False)
     assert report.first_mismatch == string_at
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_verify_matches_an_int8_compare_of_random_plants(monkeypatch, n):
+    # Up to three flips each in the packed sigma and chi, against the first
+    # differences of the int8 strings from the oracles, string first.
+    rng = np.random.default_rng(n)
+    ent = oracles.sign_string_concat(n, [1, -1, -1, 1], (1, -1, -1, 1))
+    sigma = oracles.sign_string_concat(n, [-1, 1, 1, -1], (-1, 1, 1, -1))
+    chi_ = oracles.chi_signs_popcount(n)
+    real = {name: getattr(hyperdet, name) for name in ("_sigma_bits", "_chi_bits")}
+    for _ in range(20):
+        expect = []
+        for (name, build), signs in zip(real.items(), ((-1) ** n * sigma, chi_)):
+            at = rng.choice(4**n, size=rng.integers(0, 4), replace=False)
+            bits = build(n)
+            for index in at:
+                bits = _flipped(bits, index)
+            monkeypatch.setattr(hyperdet, name, lambda n, bits=bits: bits)
+            planted = signs.copy()
+            planted[at] *= -1
+            bad = np.flatnonzero(ent != planted)
+            expect.append(int(bad[0]) if bad.size else None)
+        report = verify_antidiagonal_identity(n, dense=False)
+        string_at, chi_at = expect
+        assert (report.string_ok, report.chi_ok) == (string_at is None, chi_at is None)
+        assert report.first_mismatch == (chi_at if string_at is None else string_at)
+
+
+@pytest.mark.parametrize("pad", [0x0, 0x5, 0xF])
+def test_verify_ignores_the_pad_bits_at_n1(monkeypatch, pad):
+    # The four signs of n = 1 fill the high half of one byte.  Odd n
+    # compares ent with the inverted sigma bits, which inverts the pad
+    # bits too; no pad pattern may read as a mismatch.
+    assert [b(1).tolist() for b in (hyperdet._ent_bits, hyperdet._sigma_bits, hyperdet._chi_bits)] == [
+        [0x60], [0x90], [0x60]
+    ]
+    real_sigma, real_chi = hyperdet._sigma_bits, hyperdet._chi_bits
+    monkeypatch.setattr(hyperdet, "_sigma_bits", lambda n: real_sigma(n) | pad)
+    monkeypatch.setattr(hyperdet, "_chi_bits", lambda n: real_chi(n) | pad)
+    report = verify_antidiagonal_identity(1)
+    assert (report.passed, report.first_mismatch) == (True, None)
+    _plant_sigma(monkeypatch, 3)
+    report = verify_antidiagonal_identity(1)
+    assert (report.string_ok, report.chi_ok, report.first_mismatch) == (False, True, 3)
 
 
 def test_verify_factor_is_minus_one_for_single_pair():
