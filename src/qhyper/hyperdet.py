@@ -30,8 +30,9 @@ The strings are built as packed bits, one bit per sign (1 = minus, in
 ``np.packbits`` order), so that a ~ quarter of the doubling is the
 bitwise inverse of S and a 4^13-sign string takes 8 MiB.
 ``verify_antidiagonal_identity`` builds ent and sigma by their recursions
-and chi from popcounts on every call and compares them 64 signs per
-word; ``sign_string_ent``, ``sign_string_sigma`` and ``chi_signs`` unpack
+and chi from popcounts on every call.  It checks each pair for equality
+64 signs per word and locates the first differing sign only when they
+differ; ``sign_string_ent``, ``sign_string_sigma`` and ``chi_signs`` unpack
 the same bits to one int8 per sign.
 
 Since ent = chi, ``hdet_fast`` builds neither string.  It walks the
@@ -246,34 +247,20 @@ def sigma_y_dense(n: int) -> np.ndarray:
     return _antidiagonal(n, sign_string_sigma, 1.0)
 
 
-def _first_differences(ent, sigma, chi, size, factor):
-    """``[string_at, chi_at]``: the first sign index where ``ent != factor * sigma``
-    and where ``ent != chi``, or None, from the packed strings.  One pass over
-    chunks of up to 256 KiB, 64 signs at a time through uint64 views of the XOR
-    (uint8 when a chunk is shorter than a word), inverted to compare with
-    -sigma; the index comes from the first differing byte of a differing chunk.
-    A difference in the pad bits past ``size`` signs (n = 1) does not count.
+def _first_difference(a, b, size):
+    """The first sign index where the packed strings ``a`` and ``b`` differ, or None.
+
+    Equality is checked 64 signs per word through uint64 views (uint8 when
+    a string is shorter than a word); only a difference is located, from
+    the first differing byte.  A difference in the pad bits past ``size``
+    signs (n = 1) does not count.
     """
-    step = min(ent.size, 1 << 18)
-    word = np.uint64 if step % 8 == 0 else np.uint8
-    diff = np.empty(step, dtype=np.uint8)
-    words = diff.view(word)
-    found = [None, None]
-    for start in range(0, ent.size, step):
-        x = ent[start : start + step].view(word)
-        for k, (other, negate) in enumerate(((sigma, factor < 0), (chi, False))):
-            if found[k] is not None:
-                continue
-            np.bitwise_xor(x, other[start : start + step].view(word), out=words)
-            if negate:
-                np.invert(words, out=words)
-            if words.any():
-                at = int(np.flatnonzero(diff)[0])
-                sign = 8 * (start + at + 1) - int(diff[at]).bit_length()
-                found[k] = sign if sign < size else None
-        if None not in found:
-            break
-    return found
+    word = np.uint64 if a.size % 8 == 0 else np.uint8
+    if np.array_equal(a.view(word), b.view(word)):
+        return None
+    at = int(np.argmax(a != b))
+    sign = 8 * (at + 1) - int(a[at] ^ b[at]).bit_length()
+    return sign if sign < size else None
 
 
 @dataclass(frozen=True)
@@ -314,7 +301,11 @@ def verify_antidiagonal_identity(n: int, *, dense: bool | None = None) -> Antidi
         raise SizeCapError(f"dense check is capped at n = {DENSE_CAP_N}, got {n}")
     factor = (-1) ** n
     ent = _ent_bits(n)
-    string_at, chi_at = _first_differences(ent, _sigma_bits(n), _chi_bits(n), 4**n, factor)
+    sigma = _sigma_bits(n)
+    if factor < 0:
+        np.invert(sigma, out=sigma)
+    string_at = _first_difference(ent, sigma, 4**n)
+    chi_at = _first_difference(ent, _chi_bits(n), 4**n)
     string_ok = string_at is None
     chi_ok = chi_at is None
     first = chi_at if string_ok else string_at

@@ -21,6 +21,10 @@ digits are Python's Unicode ``\s`` and ``\d`` (``str.isspace`` and
 ``str.isdecimal``), while bits are the ASCII ``0`` and ``1``.  Decimals
 are read by ``float()`` and the integers of a fraction by ``int()``.
 
+``parse_ket`` reads the values in bulk, chunk by chunk, and that read
+only says whether every term reads.  When one does not, one anchored
+walk over the terms from the start of the text raises the first error.
+
 The n-tangle of 2n qubits is 4 |hdet_fast|^2, computed by the one
 pairing kernel in ``hyperdet``; the spin-flipped vector is never formed.
 """
@@ -135,9 +139,10 @@ _COEF = (
     r"|\(\s*([+-]?" + _NUM + r")\s*([+-])\s*(" + _NUM + r")\s*i\s*\)|(" + _NUM + ")"
 )
 # A term up to its ket, [sign] [coef ['*']], each token after optional whitespace.
-# It reads the fraction terms and places every syntax error.
+# It places every syntax error.  The whole term, bits in group 10, reads the
+# fraction terms and walks the text on an error.
 _HEAD_RE = re.compile(r"\s*(?:([+-])\s*)?(?:(" + _COEF + r")\s*(?:\*\s*)?)?")
-_KET_RE = re.compile(r"\|([01]+)>")
+_TERM_RE = re.compile(_HEAD_RE.pattern + r"\|([01]+)>")
 
 _CHUNK = 1 << 16  # characters lexed at a time, up to the next '>'
 
@@ -170,7 +175,7 @@ _NUMBERS = _table(b" ", _NUMBER_BYTES, b"0123456789.eE0123456789+-")
 # A term's skeleton up to its '>', with each number run one '#' and each
 # whitespace run one ' '.  Groups: the sign, the coefficient, the real
 # part's sign and the operator of a complex one, and a fraction, whose
-# digit runs _HEAD_RE checks.
+# digit runs _TERM_RE checks.
 _SHAPE_RE = re.compile(
     rb" ?(?:([+-]) ?)?(?:(#|\( ?([+-]?)# ?([+-]) ?# ?i ?\)|(# ?/ ?(?:sqrt\( ?# ?\)|#))) ?(?:\* ?)?)?\|#"
 )
@@ -244,14 +249,45 @@ def _term_error(text, pos, first):
     raise KetSyntaxError("expected '|bits>'", m.end())
 
 
-def _read_chunk(text, start, stop, k0, width):
-    """Labels, real parts, imaginary parts and bit count of the terms in ``text[start:stop]``.
+def _term(text, pos, first):
+    """The match of the term at ``pos``, or None unless it matches ``_TERM_RE``
+    and has a sign (the ``first`` term need not).  A fraction's value is then
+    read, and ``_ratio`` raises if it does not read; the bits are not counted."""
+    m = _TERM_RE.match(text, pos)
+    if m is None or (m.group(1) is None and not first):
+        return None
+    root, num, den = m.group(3, 4, 5)
+    if root or num:
+        _ratio(root, num, den, m.start(2))
+    return m
 
-    The chunk ends just after a '>' or at the end of the text, so no term
-    straddles two chunks.  ``k0`` terms precede it, all of ``width`` bits
-    (None when ``k0`` is 0).  The error of the first failing term is
-    raised, in the order the terms are read: within a term its syntax,
-    then a fraction's value, then its bit count.
+
+def _first_error(text):
+    """Raise the error of the first term of ``text`` that fails: its syntax, sign
+    and fraction value (``_term``), then its bit count or the qubit cap.  Each
+    step is anchored where the last term ended: a forward search (``finditer``,
+    ``search``) would retry the coefficient alternation at every position of a
+    digit run, which is quadratic in the run's length."""
+    pos = 0
+    width = None
+    while m := _term(text, pos, pos == 0):
+        bits = len(m.group(10))
+        if width is None:
+            _check_qubit_cap(bits)
+            width = bits
+        elif bits != width:
+            raise KetSyntaxError(f"ket has {bits} bits, earlier kets have {width}", m.start(10) - 1)
+        pos = m.end()
+    _term_error(text, pos, pos == 0)
+
+
+def _read_chunk(text, start, stop, width):
+    """Labels, real parts, imaginary parts and bit count of the terms in
+    ``text[start:stop]``, read in bulk, or None if any term does not read:
+    ``_first_error`` places the error then.  The chunk ends just after a '>'.
+    ``width`` is the earlier terms' bit count, None for the first chunk, whose
+    first term needs no sign.  A width over the cap or unlike the first term's
+    gives None before the (terms x width) bit index is built.
 
     The temporaries are a few bytes per character of the chunk and a few
     words per term, so they grow with the chunk's longest term and its
@@ -271,84 +307,52 @@ def _read_chunk(text, start, stop, k0, width):
     np.not_equal(cls[1:], cls[:-1], out=keep[1:])
     keep[1:] |= cls[1:] > ord("#")
     pieces = cls[keep].tobytes().split(b">")
-    # Each term that parses has one '|' and ends at a '>', so up to the first
-    # one that does not, the '|' of term k is marks[2k] and its '>' marks[2k + 1].
-    marks = np.flatnonzero((cls == ord("|")) | (cls == ord(">")))
-
-    def piece_start(k):
-        return start + (int(marks[2 * k - 1]) + 1 if k else 0)
-
-    # Piece k < n is term k without its '>'; piece n is the text after the last '>'.
+    # Piece k < n is term k without its '>'; piece n, after the last '>', must be empty.
     n = len(pieces) - 1
+    if not n or pieces[n]:
+        return None
     seen = {}  # each skeleton and the first term that has it, checked once
     same = np.fromiter(map(seen.setdefault, pieces, range(n)), np.intp, n)
     rows = np.zeros((n, 4), dtype=np.int8)
     for shape, k in seen.items():
         rows[k] = _shape_row(shape)
     form, signed, flip_re, flip_im = rows[same].T
-    bad = (form < 0) | (signed == 0)
-    if k0 == 0 and n:
-        bad[0] = form[0] < 0  # the first term of the text needs no sign
-    fail = len(pieces)  # the first piece that does not parse, if any
-    if bad.any():
-        fail = int(bad.argmax())
-    elif stop == len(text) and (pieces[n].strip() or not n + k0):
-        fail = n  # text after the last term, or no term at all
-    if k0 == 0 and fail and marks[1] - marks[0] - 1 > MAX_QUBITS:
-        fail = 1  # a first term over the cap is read alone, and its width raised once it parses
+    if (form < 0).any() or not signed[width is None :].all():  # the text's first term needs no sign
+        return None
+
+    # Every term has one '|' and ends at a '>': the '|' of term k is marks[2k], its '>' marks[2k + 1].
+    marks = np.flatnonzero((cls == ord("|")) | (cls == ord(">")))
+    bar, gt = marks[::2], marks[1::2]
+    lens = gt - bar - 1
+    if width is None:
+        width = int(lens[0])
+    if width > MAX_QUBITS or (lens != width).any():
+        return None
+    at = (bar + 1)[:, None] + np.arange(width)
+    bits = np.frombuffer(raw, np.uint8)[at]
+    if _not_bits(bits).any():
+        return None
 
     # float() reads every number run but the bits and the fractions' digits.
     numbers = np.frombuffer(bytearray(raw.translate(_NUMBERS)), np.uint8)
-    fractions = {}
-    for k in np.flatnonzero(form[:fail] == _FRACTION).tolist():
-        head = _HEAD_RE.match(text, piece_start(k))
-        if head.group(3, 4) == (None, None) or not text.startswith("|", head.end()):
-            fail = k  # a run is not all digits, or the root's numerator is not '1'
-            break
-        fractions[k] = (*head.group(3, 4, 5), head.start(2))
-        numbers[head.start(2) - start : head.end(2) - start] = ord(" ")
-
-    ok = min(fail, n)  # the terms that may parse
-    if k0 + ok == 0:
-        _term_error(text, start, True)
-    bar, gt = marks[: 2 * ok : 2], marks[1 : 2 * ok : 2]
-    lens = gt - bar - 1
-    codes = np.frombuffer(raw, np.uint8)
-    if k0 == 0:
-        width = int(lens[0])
-    wrong = np.flatnonzero(lens != width)
-    other = int(wrong[0]) if wrong.size else ok  # the first term of another bit count
-    at = (bar[:other] + 1)[:, None] + np.arange(width)
-    bits = codes[at]
-    if _not_bits(bits).any():
-        fail = int(_not_bits(bits).any(axis=1).argmax())
-    elif other < ok and _not_bits(codes[bar[other] + 1 : gt[other]]).any():
-        fail = other
     numbers[at] = ord(" ")
-    nf = _FLOATS[form[: min(fail, other + 1)]]
-    tokens = numbers.tobytes().split()[: int(nf.sum())]
+    re_parts = np.ones(n)
+    for k in np.flatnonzero(form == _FRACTION).tolist():
+        m = _TERM_RE.match(text, start + int(gt[k - 1]) + 1 if k else start)
+        if m is None:
+            return None  # a run is not all digits, or the root's numerator is not '1'
+        try:
+            re_parts[k] = _ratio(*m.group(3, 4, 5), m.start(2)).real
+        except (KetSyntaxError, ValidationError):
+            return None
+        numbers[m.start(2) - start : m.end(2) - start] = ord(" ")
+    tokens = numbers.tobytes().split()
     try:
         floats = np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
-        for j, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                fail = min(fail, int(np.searchsorted(np.cumsum(nf), j, "right")))
-                break
+        return None
 
-    ok = min(fail, n)
-    re_parts = np.ones(ok)
-    for k, args in fractions.items():
-        if k < ok and k <= other:  # a term's value is read before its bit count is checked
-            re_parts[k] = _ratio(*args).real
-    if ok:  # the first term's width, after its syntax, bits and value
-        _check_qubit_cap(width)
-    if other < ok:
-        raise KetSyntaxError(f"ket has {lens[other]} bits, earlier kets have {width}", start + int(bar[other]))
-    if fail < len(pieces):
-        _term_error(text, piece_start(fail), k0 + fail == 0)
-
+    nf = _FLOATS[form]
     first = np.cumsum(nf) - nf  # each term's first float
     re_parts[nf > 0] = floats[first[nf > 0]]
     im_parts = np.zeros(n)
@@ -383,14 +387,17 @@ def parse_ket(text: str, *, norm: str = "check") -> QubitState:
         number too large for a float, or a norm that fails the policy.
     """
     parts = []
-    start = k0 = 0
+    start = 0
+    end = len(text.rstrip())
     width = None
     while True:
-        stop = text.find(">", start + _CHUNK) + 1 or len(text)
-        labels, re_parts, im_parts, width = _read_chunk(text, start, stop, k0, width)
-        parts.append((labels, re_parts, im_parts))
-        k0 += labels.size
-        if stop == len(text):
+        stop = text.find(">", start + _CHUNK) + 1 or end
+        chunk = _read_chunk(text, start, stop, width)
+        if chunk is None:
+            _first_error(text)
+        *values, width = chunk
+        parts.append(values)
+        if stop == end:
             break
         start = stop
     labels, re_parts, im_parts = (np.concatenate(p) for p in zip(*parts))

@@ -188,8 +188,10 @@ def parse_ket_reference(text):
 
     The per-term regex loop that ``parse_ket`` ran before its bulk lexer,
     kept as the reference for its values and its errors: the same
-    exception, message and position for the first failing term.  Like
-    ``parse_ket`` it raises ``ValidationError`` on the zero vector.
+    exception, message and position for the first failing term.  It
+    stays independent of ``states._first_error``, the walk that places
+    ``parse_ket``'s errors, and is what that walk is checked against.
+    Like ``parse_ket`` it raises ``ValidationError`` on the zero vector.
     """
     amps: dict[str, complex] = {}
     width = None

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +18,7 @@ from qhyper import (
     cli,
     hdet_fast,
     hdet_reduced,
+    lu_fingerprint,
     parse_ket,
     random_state,
     state_to_hypermatrix,
@@ -555,6 +560,69 @@ def test_hypermatrix_order_cap_checked_before_allocation(tmp_path, capsys, argv,
     assert code == 4
     assert "hypermatrices are capped at order 16, got 22 qubits" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+HYPERMATRIX_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["svals", "--state"],
+        ["hosvd", "--state"],
+        ["lu-equiv", "--b", "{path}", "--a"],
+        ["permute", "--perm", "1", "--state"],
+        ["hdet", "--method", "reduced", "--state"],
+        ["hdet", "--method", "general", "--state"],
+    ],
+    ids=["svals", "hosvd", "lu-equiv", "permute", "hdet-reduced", "hdet-general"],
+)
+W17 = "0" * 17
+
+
+@HYPERMATRIX_COMMANDS
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"foo |{W17}>", "expected a coefficient or '|' (at position 0)"),
+        (f"1.2.3|{W17}>", "expected '|bits>' (at position 3)"),
+        (f"1/0|{W17}>", "zero denominator in fraction (at position 0)"),
+    ],
+    ids=["syntax", "number", "fraction"],
+)
+def test_hypermatrix_commands_report_the_parse_error_of_a_wide_ket(tmp_path, capsys, argv, text, message):
+    # A first term that does not read has no width to cap, so the error is parse's.
+    path = put(tmp_path, "bad.ket", text)
+    assert main(["parse", "--in", path]) == 2
+    expect = capsys.readouterr().err
+    assert message in expect
+    assert main([a.format(path=path) for a in argv] + [path]) == 2
+    assert capsys.readouterr().err == expect
+
+
+@HYPERMATRIX_COMMANDS
+def test_hypermatrix_order_cap_comes_before_a_later_term(tmp_path, capsys, argv):
+    # The first term's width is capped before the second term's bit count is read.
+    path = put(tmp_path, "w17.ket", f"|{W17}> + |0>")
+    assert main(["parse", "--in", path]) == 2
+    assert "ket has 1 bits, earlier kets have 17" in capsys.readouterr().err
+    assert main([a.format(path=path) for a in argv] + [path]) == 4
+    assert "hypermatrices are capped at order 16, got 17 qubits" in capsys.readouterr().err
+
+
+def test_state_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # No-break spaces between the tokens, read in a child under the C locale
+    # with UTF-8 mode and locale coercion off, so its locale encoding is ASCII.
+    path = tmp_path / "nbsp.ket"
+    path.write_bytes("0.6|0>\u00a0+\u00a00.8|1>".encode("utf-8"))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from qhyper.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run(
+        [sys.executable, "-c", script, "svals", "--state", str(path), "--output", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    expect = lu_fingerprint(state_to_hypermatrix(parse_ket("0.6|0> + 0.8|1>"))).tolist()
+    assert json.loads(run.stdout) == {"mode_svals": expect}
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,9 @@ def test_parse_long_kets_across_chunks_match_the_reference():
         "|0> + 1/0|00>",  # a term's value is read before its width is checked
         "|0> + 1e|00>",  # and its syntax before that
         "|0> + |00> + 1/0|0>",
+        "1.2.3|0> + 1/0|0>",  # a bad number before a fraction that does not read
+        # a walk that searched forward would be quadratic in the digit run
+        pytest.param("|0> + " + "1" * 10**5 + "x", id="long-digit-run"),
     ],
 )
 def test_parse_reports_the_first_error_in_term_order(text):
