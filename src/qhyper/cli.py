@@ -62,12 +62,12 @@ def _emit(payload, lines, out_path=None):
 def _load_state(path: str, *, norm="check", order_cap=False) -> states.QubitState:
     """Read ket text, or state JSON when the file starts with '{'.
 
-    The file is read as UTF-8.  ``norm`` is the :class:`states.QubitState`
-    policy, the same for either format.  ``order_cap`` checks the
-    hypermatrix order cap on the width of the first term, once that term
-    reads, or on ``num_qubits``, before any amplitude is allocated.
+    The file is read as UTF-8 past a leading byte-order mark; ``norm`` is
+    the :class:`states.QubitState` policy for either format.  ``order_cap``
+    checks the hypermatrix order cap on the width of the first term, once
+    that term reads, or on ``num_qubits``, before any amplitude is allocated.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw = fh.read()
     if not raw.lstrip().startswith("{"):
         first = order_cap and states._term(raw, 0, True)

@@ -17,20 +17,22 @@ table folded a mode at a time, and their closed forms run together.
 The per-mode singular values are invariant under local unitaries and
 are therefore used as a cheap fingerprint: fingerprints that cannot be
 aligned by any relabeling of the qubit slots prove two states
-inequivalent.  An alignment plus matching cores after a deterministic
-phase canonicalization certifies equivalence (a permuted tensor with
-the same core is reachable by local unitaries); the remaining cases
-are reported as inconclusive rather than guessed.  The canonical phases
-come from the largest core entry and its single-flip neighbours where
-those are large enough, and from a magnitude-ordered walk otherwise.
+inequivalent (rule ``spectra``).  An alignment plus matching cores
+after a deterministic phase canonicalization certifies equivalence
+(``core-match``: a permuted tensor with the same core is reachable by
+local unitaries).  The other rules report inconclusive rather than
+guess: a degenerate spectrum (``degenerate``), or no core match among
+the alignments tried, with (``cap``) or without (``exhausted``) one
+more past the cap.  The canonical phases come from the largest core
+entry and its single-flip neighbours where those are large enough, and
+from a magnitude-ordered walk otherwise.
 
 The equivalence test decomposes each input once.  The HOSVD commutes
 with mode permutation, so the record of a relabelled copy of A is A's
 stacked factors and spectra indexed by the relabeling and A's core
 transposed by it.  Alignments are generated lazily in lexicographic
-order and the search stops at the first core match; after
-``RELABEL_CAP`` tried alignments it gives up, and the verdict says the
-search was capped only when a further alignment exists.
+order, and the search stops at the first core match or after
+``RELABEL_CAP`` of them.
 """
 
 from __future__ import annotations
@@ -329,6 +331,20 @@ class LuVerdict:
     tag: LuTag
     certificate: SvalCertificate | None = None
     detail: str = ""
+    rule: str = ""  # the key of _RULES that decided
+
+
+_DIFFER = "fingerprints align but canonical cores differ (best max entry gap {gap:.3e})"
+_RULES = {  # each rule that decides lu_equivalence: its tag and detail template
+    "spectra": (LuTag.NOT_EQUIVALENT, "no relabeling aligns the singular-value fingerprints"),
+    "degenerate": (
+        LuTag.INCONCLUSIVE,
+        "mode {mode} spectrum is degenerate; the core comparison is not phase-determined",
+    ),
+    "core-match": (LuTag.EQUIVALENT_CORE_MATCH, "after relabeling modes by {sigma}"),
+    "exhausted": (LuTag.INCONCLUSIVE, _DIFFER),
+    "cap": (LuTag.INCONCLUSIVE, _DIFFER + "; relabeling search capped at {cap} candidates"),
+}
 
 
 def _alignment_candidates(match):
@@ -357,16 +373,17 @@ def _alignment_candidates(match):
 
 def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> LuVerdict:
     """Three-valued equivalence test under local unitaries and qubit
-    relabeling.
+    relabeling; the verdict's ``rule`` names the rule that decided it.
 
-    ``NotEquivalent`` means no relabeling of the modes aligns the two
-    singular-value fingerprints; the certificate names the first mode
-    whose spectra differ in place.  ``EquivalentCoreMatch``
-    means some alignment exists under which the phase-canonicalized
-    cores agree entrywise within ``tol``, with every mode spectrum
-    non-degenerate.  Everything else is ``Inconclusive``; the test never
-    guesses.  At most ``RELABEL_CAP`` alignments are tried, first match
-    wins; the detail says the search was capped only when one more exists.
+    ``NotEquivalent`` (``spectra``): no relabeling of the modes aligns
+    the two singular-value fingerprints; the certificate names the first
+    mode whose spectra differ in place.  ``EquivalentCoreMatch``
+    (``core-match``): under some alignment the phase-canonicalized cores
+    agree entrywise within ``tol``, every mode spectrum non-degenerate.
+    Everything else is ``Inconclusive``, never a guess: a degenerate
+    spectrum of B (``degenerate``), or no match among the first
+    ``RELABEL_CAP`` alignments, with one more left (``cap``) or not
+    (``exhausted``).
 
     Both inputs must have equal dims and unit Frobenius norm within
     ``tol`` (no silent renormalization); ``tol`` must be a real number
@@ -386,35 +403,28 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     # match[k, j]: mode k of B has the spectrum of mode j of A.
     match = np.abs(fb[:, None] - fa[None]).max(axis=2) <= tol
     candidates = _alignment_candidates(match)
-    first = next(candidates, None)
-    if first is None:  # the identity is no alignment: some mode's spectra differ in place
-        k = int(np.argmin(match.diagonal()))
-        cert = SvalCertificate(mode=k + 1, svals_a=tuple(fa[k]), svals_b=tuple(fb[k]))
-        detail = "no relabeling aligns the singular-value fingerprints"
-        return LuVerdict(tag=LuTag.NOT_EQUIVALENT, certificate=cert, detail=detail)
-    for k, sv in enumerate(fb, start=1):
-        if sv[0] <= 0.0 or (sv[0] - sv[1]) / sv[0] < DEGENERACY_GAP:
-            detail = f"mode {k} spectrum is degenerate; the core comparison is not phase-determined"
-            return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)
-    # The HOSVD commutes with mode permutation, so A is decomposed once
-    # and each candidate only re-indexes its factors and permutes its core.
-    ra = _hosvd_from_sweep(A, factors_a, fa)
-    cb = canonicalize_core(_hosvd_from_sweep(B, factors_b, fb), negligible=tol / 4).core
-    detail = "fingerprints align but canonical cores differ (best max entry gap {:.3e})"
-    best_gap = math.inf
-    for tried, sigma in enumerate(itertools.chain((first,), candidates)):
-        if tried == RELABEL_CAP:  # an alignment beyond the RELABEL_CAP tried exists
-            detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
-            break
-        idx = np.subtract(sigma, 1)
-        permuted = HosvdResult(ra.factors[idx], mode_permute(ra.core, sigma), fa[idx])
-        ca = canonicalize_core(permuted, negligible=tol / 4).core
-        gap = float(np.max(np.abs(ca.data - cb.data)))
-        if gap <= tol:
-            is_id = sigma == tuple(range(1, len(sigma) + 1))
-            return LuVerdict(
-                tag=LuTag.EQUIVALENT_CORE_MATCH,
-                detail="" if is_id else f"after relabeling modes by {sigma}",
-            )
-        best_gap = min(best_gap, gap)
-    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail.format(best_gap))
+    sigma, best_gap = next(candidates, None), math.inf
+    degenerate = (k for k, (s1, s2) in enumerate(fb, 1) if s1 <= 0.0 or (s1 - s2) / s1 < DEGENERACY_GAP)
+    if sigma is None:  # the identity is no alignment: some mode's spectra differ in place
+        rule, mode = "spectra", int(np.argmin(match.diagonal())) + 1
+    elif mode := next(degenerate, 0):
+        rule = "degenerate"
+    else:  # A is decomposed once; a candidate re-indexes its record (module docstring)
+        ra = _hosvd_from_sweep(A, factors_a, fa)
+        cb = canonicalize_core(_hosvd_from_sweep(B, factors_b, fb), negligible=tol / 4).core
+        for sigma in itertools.islice(itertools.chain((sigma,), candidates), RELABEL_CAP):
+            idx = np.subtract(sigma, 1)
+            permuted = HosvdResult(ra.factors[idx], mode_permute(ra.core, sigma), fa[idx])
+            ca = canonicalize_core(permuted, negligible=tol / 4).core
+            gap = float(np.max(np.abs(ca.data - cb.data)))
+            if gap <= tol:
+                rule = "core-match"
+                break
+            best_gap = min(best_gap, gap)
+        else:  # capped only when an alignment beyond the RELABEL_CAP tried exists
+            rule = "exhausted" if next(candidates, None) is None else "cap"
+    tag, text = _RULES[rule]
+    text = "" if rule == "core-match" and sigma == tuple(range(1, len(fa) + 1)) else text
+    cert = SvalCertificate(mode, tuple(fa[mode - 1]), tuple(fb[mode - 1])) if rule == "spectra" else None
+    detail = text.format(mode=mode, sigma=sigma, gap=best_gap, cap=RELABEL_CAP)
+    return LuVerdict(tag, cert, detail, rule)

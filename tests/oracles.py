@@ -525,7 +525,9 @@ def lu_equivalence_recompute(A, B, tol):
     Collects every alignment of the fingerprints (``RELABEL_CAP + 1`` at
     most) into a list up front, then decomposes each relabelled copy of
     A from scratch with ``hosvd(mode_permute(A, sigma))``.  Inputs must
-    already be normalized with equal dims.
+    already be normalized with equal dims.  Sets ``rule`` from its own
+    search: which of its exits it took, and whether ``found`` outgrew the
+    cap.
     """
     fa = lu_fingerprint(A)
     fb = lu_fingerprint(B)
@@ -543,6 +545,7 @@ def lu_equivalence_recompute(A, B, tol):
                     tag=LuTag.NOT_EQUIVALENT,
                     certificate=SvalCertificate(mode=k, svals_a=tuple(sa), svals_b=tuple(sb)),
                     detail="no relabeling aligns the singular-value fingerprints",
+                    rule="spectra",
                 )
     for k, sv in enumerate(fb, start=1):
         if sv[0] <= 0.0 or (sv[0] - sv[1]) / sv[0] < DEGENERACY_GAP:
@@ -552,6 +555,7 @@ def lu_equivalence_recompute(A, B, tol):
                     f"mode {k} spectrum is degenerate; the core comparison "
                     "is not phase-determined"
                 ),
+                rule="degenerate",
             )
     cb = canonicalize_core(hosvd(B), negligible=tol / 4).core.data
     gaps = []
@@ -561,8 +565,10 @@ def lu_equivalence_recompute(A, B, tol):
         if gaps[-1] <= tol:
             is_id = mapping == tuple(range(1, N + 1))
             detail = "" if is_id else f"after relabeling modes by {mapping}"
-            return LuVerdict(tag=LuTag.EQUIVALENT_CORE_MATCH, detail=detail)
+            return LuVerdict(tag=LuTag.EQUIVALENT_CORE_MATCH, detail=detail, rule="core-match")
     detail = f"fingerprints align but canonical cores differ (best max entry gap {min(gaps):.3e})"
+    rule = "exhausted"
     if len(found) > RELABEL_CAP:
         detail += f"; relabeling search capped at {RELABEL_CAP} candidates"
-    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail)
+        rule = "cap"
+    return LuVerdict(tag=LuTag.INCONCLUSIVE, detail=detail, rule=rule)

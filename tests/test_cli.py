@@ -625,6 +625,22 @@ def test_state_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(run.stdout) == {"mode_svals": expect}
 
 
+@pytest.mark.parametrize("fmt", ["ket", "json"])
+def test_state_files_may_start_with_a_byte_order_mark(tmp_path, capsys, fmt):
+    # A BOM that is not skipped hides JSON's leading '{' and sends the file to the ket parser.
+    text = BELL
+    if fmt == "json":
+        assert main(["parse", "--in", put(tmp_path, "s.ket", "0.6|0> + 0.8|1>")]) == 0
+        text = capsys.readouterr().out
+    runs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name
+        path.write_bytes((prefix + text).encode("utf-8"))
+        runs.append((main(["svals", "--state", str(path)]), capsys.readouterr().out))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == 0
+
+
 @pytest.mark.parametrize(
     "argv, width",
     [

@@ -5,6 +5,8 @@ import importlib
 import itertools
 import math
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -815,6 +817,20 @@ def test_lu_equivalence_matches_recompute_oracle(A, B):
     assert got.tag is expect.tag
     assert got.detail == expect.detail
     assert got.certificate == expect.certificate
+    assert got.rule == expect.rule
+
+
+def test_oracle_cases_reach_every_rule():
+    rules = Counter(lu_equivalence(*case.values).rule for case in _oracle_cases())
+    assert rules == {"degenerate": 6, "spectra": 6, "core-match": 18, "cap": 1, "exhausted": 4}
+
+
+def test_lu_verdict_stays_small():
+    # Callers such as the benchmark runner keep every verdict, so its four
+    # slots must stay in CPython's 64-byte size class on a 64-bit build.
+    verdict = lu_equivalence(*_w_and_ghz_like(3))
+    assert verdict.rule == "exhausted"
+    assert sys.getsizeof(verdict) <= 64
 
 
 def test_lu_equivalence_decomposes_each_input_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Pinned ``lu_equivalence`` verdicts on a seeded corpus at 3-12 qubits.
 
-Each pair's tag is compared with the one stored in
-``lu_verdict_corpus.json``.  The corpus holds, at every size:
+Each pair's tag and rule (``LuVerdict.rule``, the rule that decided)
+are compared with the pair stored in ``lu_verdict_corpus.json``.  The
+corpus holds, at every size:
 
 * generic, permutation-symmetric, W-like, sparse and near-degenerate
   (one mode with relative spectral gap 1e-5) states, each against an
@@ -109,15 +110,16 @@ def corpus():
         yield f"even-parity-lu-{i}", _hyper(family), _lu_relabelled(family, rng)
 
 
-def _tags():
-    return {name: lu_equivalence(A, B).tag.value for name, A, B in corpus()}
+def _verdicts():
+    """{name: [tag, rule]} for every corpus pair."""
+    return {name: [(v := lu_equivalence(A, B)).tag.value, v.rule] for name, A, B in corpus()}
 
 
 def test_corpus_verdicts_are_pinned():
     expect = json.loads(PINNED.read_text())
-    got = _tags()
+    got = _verdicts()
     assert list(got) == list(expect)
-    assert {name: tag for name, tag in got.items() if tag != expect[name]} == {}
+    assert {name: pair for name, pair in got.items() if pair != expect[name]} == {}
 
 
 def test_near_degenerate_lu_copies_keep_matching():
@@ -135,10 +137,23 @@ def test_near_degenerate_lu_copies_keep_matching():
 
 
 
+def test_near_degenerate_lu_copy_left_inconclusive():
+    # An open case the README lists: an LU copy whose cores, compared with
+    # the flat tol, miss by a hair.  A gap-aware margin should decide it.
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        amp = _amplitudes("near-degenerate", 3, rng)
+        verdict = lu_equivalence(_hyper(amp), _lu_relabelled(amp, rng))
+    assert (verdict.tag.value, verdict.rule) == ("Inconclusive", "exhausted")
+    gap = float(verdict.detail.rpartition("gap ")[2].rstrip(")"))
+    assert 1e-10 < gap < 2e-10  # 1.103e-10 on the reference build
+
+
 def test_near_degenerate_needs_two_qubits():
     with pytest.raises(ValueError, match="n >= 2"):
         _amplitudes("near-degenerate", 1, np.random.default_rng(0))
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(_tags(), indent=1) + "\n")
+    lines = (f" {json.dumps(name)}: {json.dumps(pair)}" for name, pair in _verdicts().items())
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")
