@@ -36,14 +36,17 @@ differ; ``sign_string_ent``, ``sign_string_sigma`` and ``chi_signs`` unpack
 the same bits to one int8 per sign.
 
 Since ent = chi, ``hdet_fast`` builds neither string.  It walks the
-first half of the amplitudes in rows of min(4^n / 2, 4^7) entries and
-pairs row i with row i of the reversed amplitudes (both views), weighted
-by a prefix of chi over one block of 4^7 indices (taken once from
-popcounts; ``chi_signs`` reads it too) and by chi(i).  The terms of j and
-of its bit complement are equal, so each complement pair is summed once.
-The spin-flip overlap behind the n-tangle is (-1)^n times the conjugate
-of 2 hdet_fast, so the n-tangle is 4 |hdet_fast|^2.  Beyond the input
-the walk holds two 256 KiB complex buffers.
+first half of the amplitudes in rows of w = min(4^n / 2, 4^7) entries
+and multiplies row i by row i of the reversed amplitudes (both views).
+Since chi(i * w + r) = chi(i) * chi(r), each product row is added to or
+subtracted from one width-w accumulator by the parity of i, and the
+accumulator is weighted once by a prefix of chi over one block of 4^7
+indices (taken once from popcounts; ``chi_signs`` reads it too) and
+summed once.  The terms of j and of its bit complement are equal, so
+each complement pair is summed once.  The spin-flip overlap behind the
+n-tangle is (-1)^n times the conjugate of 2 hdet_fast, so the n-tangle
+is 4 |hdet_fast|^2.  Beyond the input the walk holds two 256 KiB complex
+buffers: the accumulator and one product row.
 """
 
 from __future__ import annotations
@@ -193,12 +196,9 @@ def sign_string_sigma(n: int) -> SignString:
     return SignString(signs=_signs(_sigma_bits(n), n), n=n, kind="sigma")
 
 
-def _parity_signs(idx):
-    """+1 where the integer has an even number of ones, else -1, as int8."""
-    return (1 - 2 * (np.bitwise_count(idx) & 1)).astype(np.int8)
-
-
-_CHI_BLOCK = _parity_signs(np.arange(4**_BLOCK_N, dtype=np.uint64))  # chi over one block
+# chi over one block of indices, as int8: +1 for an even number of ones
+_BLOCK_ODD = np.bitwise_count(np.arange(4**_BLOCK_N, dtype=np.uint64)) & 1
+_CHI_BLOCK = 1 - 2 * _BLOCK_ODD.view(np.int8)
 _CHI_BLOCK.setflags(write=False)
 
 
@@ -209,7 +209,7 @@ def _chi_bits(n):
     row i is the first 4^k entries of the one chi block, packed, and
     inverted when i has odd parity, k <= 7."""
     k = min(n, _BLOCK_N)
-    block = np.packbits(_CHI_BLOCK[: 4**k] < 0)
+    block = np.packbits(_BLOCK_ODD[: 4**k])
     flips = (np.bitwise_count(np.arange(4 ** (n - k), dtype=np.uint64)) & 1) * 0xFF
     return np.bitwise_xor(flips[:, None], block).reshape(-1)
 
@@ -436,8 +436,11 @@ def hdet_fast(state) -> complex:
     O(4^n): half the pairing sum_j chi(j) a_j a_{4^n-1-j}, i.e. each
     complement pair once, its two terms being equal.  Row i of the first
     half of the rows of min(4^n / 2, 4^7) entries is multiplied by row i
-    of the reversed amplitudes and a prefix of the chi block in one
-    buffer, summed without BLAS and weighted by chi(i).
+    of the reversed amplitudes into one buffer, which is added to one
+    accumulator when chi(i) = +1 and subtracted when chi(i) = -1.  The
+    accumulator is multiplied by a prefix of the chi block once and
+    summed once, without BLAS.  Row 0 starts the accumulator, so a
+    single row (up to 14 qubits) is neither added nor subtracted.
     """
     amp = state.amplitudes
     q = amp.size.bit_length() - 1
@@ -447,10 +450,10 @@ def hdet_fast(state) -> complex:
     width = min(amp.size // 2, _CHI_BLOCK.size)
     count = amp.size // 2 // width
     rows, mates = (a.reshape(-1, width)[:count] for a in (amp, amp[::-1]))
-    weights = _CHI_BLOCK[:width].astype(np.complex128)
-    buf = np.empty_like(weights)
-    sums = np.empty(count, dtype=np.complex128)
-    for i, (row, mate) in enumerate(zip(rows, mates)):
+    odd = np.bitwise_count(np.arange(1, count, dtype=np.uint64)) & 1
+    acc = rows[0] * mates[0]
+    buf = np.empty_like(acc)
+    for row, mate, flip in zip(rows[1:], mates[1:], odd):
         np.multiply(row, mate, out=buf)
-        sums[i] = np.multiply(buf, weights, out=buf).sum()
-    return complex(np.sum(sums * _parity_signs(np.arange(count, dtype=np.uint64))))
+        (np.subtract if flip else np.add)(acc, buf, out=acc)
+    return complex(np.multiply(acc, _CHI_BLOCK[:width], out=acc).sum())

@@ -568,10 +568,10 @@ def test_hdet_fast_eight_term_expansion():
     assert abs(hdet_fast(s) - expect) <= TOL
 
 
-@pytest.mark.parametrize("num_qubits", [14, 16, 18])
+@pytest.mark.parametrize("num_qubits", [14, 16, 18, 20])
 def test_pairing_kernels_match_full_vector_reference(num_qubits):
-    # 14 qubits walk one row of 4^7 / 2 entries, 16 and 18 qubits 2 and 8
-    # rows of 4^7 entries.
+    # 14 qubits walk one row of 4^7 / 2 entries, 16, 18 and 20 qubits 2, 8
+    # and 32 rows of 4^7 entries (1, 3 and 5 row-parity bits).
     rng = np.random.default_rng(80 + num_qubits)
     ghz = np.zeros(2**num_qubits)
     ghz[[0, -1]] = 2**-0.5
@@ -581,6 +581,26 @@ def test_pairing_kernels_match_full_vector_reference(num_qubits):
         assert abs(hdet_fast(s) - pairing / 2) <= 1e-12 * abs(pairing / 2)
         for via in ("spinflip", "hdet"):
             assert abs(n_tangle(s, via=via) - abs(pairing) ** 2) <= 1e-12 * abs(pairing) ** 2
+
+
+@pytest.mark.parametrize("num_qubits", [18, 20])
+def test_hdet_fast_signs_each_row_by_its_parity(num_qubits):
+    # One complement pair a_j = a_{~j} per state, j in row i of the 8 or 32
+    # rows of 4^7 entries: the pairing is the single product chi(j) a_j a_{~j},
+    # so it is exact and any row sign other than chi(i) shows.
+    width = 4**7
+    rng = np.random.default_rng(num_qubits)
+    seen = set()
+    for i in range(2**num_qubits // 2 // width):
+        j = i * width + int(rng.integers(width))
+        amp = np.zeros(2**num_qubits)
+        amp[[j, -1 - j]] = 2**-0.5
+        s = QubitState(amp)
+        sign = chi(format(j, f"0{num_qubits}b"))
+        a = s.amplitudes
+        assert hdet_fast(s) == sign * a[j] * a[-1 - j]
+        seen.add((bin(i).count("1") % 2, sign))
+    assert len(seen) == 4
 
 
 @pytest.mark.parametrize("via", ["hdet_fast", "n_tangle"])
