@@ -4,15 +4,18 @@ For an order-N hypermatrix with every mode length 2, the mode-k factor
 is the unitary of eigenvectors of the 2x2 Gram matrix G = M M^H of the
 k-mode unfolding M, ordered by descending eigenvalue; the mode-k
 singular values are the square roots of those eigenvalues.  The core is
-obtained by applying the conjugate-transposed factors to the input, so
+obtained by applying the conjugate-transposed factors to the input,
 
-    H = (V_1, ..., V_N) * core
+    core = (V_1^H, ..., V_N^H) * H,
 
-holds by construction.  The core is all-orthogonal (slices along any
-mode at distinct indices have zero Frobenius inner product) and the
-norms of the mode-k slices are the mode-k singular values.  All modes
-are solved in one sweep: their Gram diagonals come from one |entry|^2
-table folded a mode at a time, and their closed forms run together.
+by ``multilinear_multiply``, which applies each run of three consecutive
+factors as one 8x8 Kronecker block.  So H = (V_1, ..., V_N) * core holds
+by construction, and ``reconstruct`` goes back the same way.  The core is
+all-orthogonal (slices along any mode at distinct indices have zero
+Frobenius inner product) and the norms of the mode-k slices are the
+mode-k singular values.  All modes are solved in one sweep: their Gram
+diagonals come from one |entry|^2 table folded a mode at a time, and
+their closed forms run together.
 
 The per-mode singular values are invariant under local unitaries and
 are therefore used as a cheap fingerprint: fingerprints that cannot be

@@ -39,7 +39,15 @@ import numpy as np
 
 from .errors import KetSyntaxError, SizeCapError, ValidationError
 from .hyperdet import MAX_SIGN_N, hdet_fast
-from .tensor import MAX_ORDER, Hypermatrix, _complex_from_json, _inner, _int_arg, _json_int
+from .tensor import (
+    MAX_ORDER,
+    Hypermatrix,
+    _complex_array,
+    _complex_from_json,
+    _inner,
+    _int_arg,
+    _json_int,
+)
 
 __all__ = [
     "MAX_QUBITS",
@@ -86,15 +94,16 @@ class QubitState:
     Raises
     ------
     ValidationError
-        If the length is not a power of two at least 2, any amplitude is
-        non-finite, the norm fails the policy, or ``norm`` is none of the
-        three policies.
+        If the amplitudes do not convert to a complex array, the length
+        is not a power of two at least 2, any amplitude is non-finite,
+        the norm fails the policy, or ``norm`` is none of the three
+        policies.
     """
 
     __slots__ = ("_amp",)
 
     def __init__(self, amplitudes, *, norm: str = "check"):
-        amp = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        amp = _complex_array(amplitudes, "amplitudes", copy=True).reshape(-1)
         n = int(amp.size).bit_length() - 1
         if amp.size < 2 or amp.size != 2**n:
             raise ValidationError(
@@ -487,7 +496,7 @@ def state_from_json(obj, *, norm: str = "check") -> QubitState:
 
 def validate_unitary(U) -> np.ndarray:
     """Check that U is a 2x2 unitary with finite entries."""
-    arr = np.asarray(U, dtype=np.complex128)
+    arr = _complex_array(U, "matrix")
     if arr.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # NaN would pass the defect test below

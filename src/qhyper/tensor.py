@@ -36,6 +36,7 @@ __all__ = [
 
 MAX_ORDER = 16
 MAX_MODE_LENGTH = 64
+_BLOCK_SIDE = 8  # most rows, and most columns, of one Kronecker block in multilinear_multiply
 
 
 class Hypermatrix:
@@ -50,15 +51,15 @@ class Hypermatrix:
     Raises
     ------
     ValidationError
-        If the order is outside 1..16, any mode length is outside 1..64,
-        or any entry is non-finite.
+        If the data do not convert to a complex array, the order is
+        outside 1..16, any mode length is outside 1..64, or any entry is
+        non-finite.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.complex128, order="C")
-        self._data = _validated(arr)
+        self._data = _validated(_complex_array(data, "hypermatrix entries", copy=True))
 
     @classmethod
     def _wrap(cls, arr):
@@ -88,14 +89,31 @@ class Hypermatrix:
         return f"Hypermatrix(dims={self.dims})"
 
 
-def _validated(arr):
-    if arr.ndim < 1 or arr.ndim > MAX_ORDER:
-        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {arr.ndim}")
-    for k, n in enumerate(arr.shape, start=1):
+def _complex_array(data, what, copy=False):
+    """``data`` as a complex128 array: a fresh row-major copy when ``copy``,
+    else ``np.asarray``'s (a view when ``data`` already is one).  Data NumPy
+    cannot convert, a string entry or a ragged nested list, raise
+    ValidationError in place of NumPy's own error."""
+    try:
+        if copy:
+            return np.array(data, dtype=np.complex128, order="C")
+        return np.asarray(data, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"cannot convert {what} to a complex array: {exc}") from None
+
+
+def _check_mode_lengths(lengths):
+    for k, n in enumerate(lengths, start=1):
         if n < 1 or n > MAX_MODE_LENGTH:
             raise ValidationError(
                 f"mode {k} length must be in 1..{MAX_MODE_LENGTH}, got {n}"
             )
+
+
+def _validated(arr):
+    if arr.ndim < 1 or arr.ndim > MAX_ORDER:
+        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {arr.ndim}")
+    _check_mode_lengths(arr.shape)
     if not np.isfinite(arr).all():
         raise ValidationError("entries must be finite")
     arr.setflags(write=False)
@@ -103,7 +121,7 @@ def _validated(arr):
 
 
 def _as_matrix(A, which):
-    arr = np.asarray(A, dtype=np.complex128)
+    arr = _complex_array(A, which)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{which} must be a matrix, got ndim {arr.ndim}")
     if not np.isfinite(arr).all():
@@ -120,7 +138,14 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
             (A_1)_{i_1 j_1} ... (A_N)_{i_N j_N} H_{j_1 ... j_N},
 
     i.e. matrix A_k acts on mode k.  A_k must have exactly ``H.dims[k-1]``
-    columns; its row count becomes the new mode-k length.
+    columns; its row count, in 1..64, becomes the new mode-k length.
+
+    A mode-k product by A followed by a mode-(k+1) product by B is one
+    product by the Kronecker product A (x) B on the merged mode (Kolda &
+    Bader, SIAM Review 51, 2009, section 2.5).  Each run of consecutive
+    modes is merged into one such block for as long as the block keeps at
+    most 8 rows and at most 8 columns, so N qubit modes take about N/3
+    passes of 8x8 products, each a swap copy and one matrix product.
 
     Parameters
     ----------
@@ -131,8 +156,24 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     Returns
     -------
     Hypermatrix
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the matrix count is not the order, a matrix is not 2-D, or its
+        column count is not its mode length.
+    ValidationError
+        If ``matrices`` is not a sequence, a matrix does not convert to a
+        complex array or has non-finite entries, or a row count is outside
+        1..64.  All of these are checked before any product is formed.
     """
-    mats = [_as_matrix(A, f"matrix for mode {k}") for k, A in enumerate(matrices, 1)]
+    try:
+        numbered = enumerate(matrices, 1)
+    except TypeError:
+        raise ValidationError(
+            f"matrices must be a sequence of matrices, got {type(matrices).__name__}"
+        ) from None
+    mats = [_as_matrix(A, f"matrix for mode {k}") for k, A in numbered]
     if len(mats) != H.order:
         raise DimensionMismatchError(
             f"need {H.order} matrices for an order-{H.order} hypermatrix, got {len(mats)}"
@@ -142,14 +183,27 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
             raise DimensionMismatchError(
                 f"matrix for mode {k + 1} has {A.shape[1]} columns, mode length is {H.dims[k]}"
             )
-    # Step k is A_k @ X with X a contiguous (n_k, rest) matrix.  New lengths pile up in
-    # front in reverse, so mode k+1 moves to the front in runs of n_{k+2}...n_N entries.
-    out, done = H.data, 1  # done = m_1 ... m_k
-    for k, A in enumerate(mats):
-        X = out.reshape(done, H.dims[k], math.prod(H.dims[k + 1 :])).swapaxes(0, 1)
-        out = A @ X.reshape(H.dims[k], -1)
-        done *= A.shape[0]
-    return Hypermatrix._wrap(out.reshape([A.shape[0] for A in reversed(mats)]).transpose())
+    _check_mode_lengths([A.shape[0] for A in mats])
+    # Blocks are built by broadcasting: block[(i, i'), (j, j')] = K[i, j] * A[i', j'].
+    blocks = mats[:1]
+    for A in mats[1:]:
+        K = blocks[-1]
+        rows, cols = K.shape[0] * A.shape[0], K.shape[1] * A.shape[1]
+        if rows <= _BLOCK_SIDE and cols <= _BLOCK_SIDE:
+            blocks[-1] = (K[:, None, :, None] * A[None, :, None, :]).reshape(rows, cols)
+        else:
+            blocks.append(A)
+    # Step k is B_k @ X with X a contiguous (n_k, rest) matrix, n_k the length of merged
+    # mode k.  New lengths pile up in front in reverse, so merged mode k+1 moves to the
+    # front in runs of n_{k+2}...n_last entries; the last reshape splits the merged modes.
+    out, done, rest = H.data, 1, H.data.size  # done = m_1 ... m_k
+    for B in blocks:
+        n = B.shape[1]
+        rest //= n
+        out = B @ out.reshape(done, n, rest).swapaxes(0, 1).reshape(n, -1)
+        done *= B.shape[0]
+    out = out.reshape([B.shape[0] for B in reversed(blocks)]).transpose()
+    return Hypermatrix._wrap(out.reshape([A.shape[0] for A in mats]))
 
 
 @dataclass(frozen=True)

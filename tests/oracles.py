@@ -1,7 +1,7 @@
 """Independent reference implementations used as oracles by the tests.
 
 Everything here is written directly from the defining formulas with
-naive loops or well-tested numpy routines (svd, eigvalsh, kron) and
+naive loops or well-tested numpy routines (svd, eigvalsh, kron, einsum) and
 shares no code with the package: permutation parity is counted by
 inversions instead of cycles, unfoldings use the explicit column-index
 formula, the spin flip builds the actual complex Kronecker power (and,
@@ -42,6 +42,14 @@ def naive_multilinear(mats, data):
             acc += term
         out[i] = acc
     return out
+
+
+def multilinear_einsum(mats, data):
+    """(A_1, ..., A_N) * H one mode at a time, mode k by its own np.einsum."""
+    axes = "abcdefghijklmnop"[: data.ndim]
+    for k, A in enumerate(mats):
+        data = np.einsum(f"Z{axes[k]},{axes}->{axes.replace(axes[k], 'Z')}", A, data)
+    return data
 
 
 def unfold_by_formula(data, k):

@@ -3,8 +3,9 @@
 One script runs in two child processes, one with OpenBLAS and OpenMP
 pinned to one thread and one with two; only the children's environment
 changes.  Each child prints a SHA-256 of every result below, and the two
-sets must agree digest for digest.  The HOSVD cores also cover
-``multilinear_multiply``, whose matrix products have an inner length of 2.
+sets must agree digest for digest.  The HOSVD cores and ``reconstruct()``
+also cover ``multilinear_multiply``, whose matrix products merge up to three
+qubit modes into one Kronecker block and so have an inner length of up to 8.
 """
 
 import json
@@ -36,6 +37,7 @@ for n in (14, 16):
     put(f"frobenius_norm/{n}", frobenius_norm(H))
     res = hosvd(H)
     put(f"hosvd/{n}", *res.factors, res.core.data, *res.mode_svals)
+    put(f"reconstruct/{n}", res.reconstruct().data)
     twin = apply_local_unitaries(s, [random_su2(2000 + k) for k in range(n)])
     B = mode_permute(state_to_hypermatrix(twin), list(range(n, 0, -1)))
     for name, other in (("lu_copy", B), ("conjugate", state_to_hypermatrix(QubitState(np.conj(s.amplitudes))))):
@@ -62,5 +64,5 @@ def _digests(threads):
 
 def test_results_do_not_depend_on_the_blas_thread_count():
     one, two = _digests(1), _digests(2)
-    assert len(one) == 13
+    assert len(one) == 15
     assert {k for k in one if one[k] != two[k]} == set()

@@ -61,6 +61,21 @@ def test_state_norm_validation():
         QubitState([np.nan, 0.0])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QubitState(["1", "x"]),
+        lambda: QubitState([[1.0], [0.0, 0.0]]),
+        lambda: validate_unitary([["1", "0"], ["0", "y"]]),
+        lambda: validate_unitary([[1.0, 0.0], [0.0]]),
+    ],
+    ids=["state-string", "state-ragged", "unitary-string", "unitary-ragged"],
+)
+def test_conversion_errors_are_validation_errors(call):
+    with pytest.raises(ValidationError, match="cannot convert"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # parsing
 

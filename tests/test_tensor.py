@@ -16,12 +16,14 @@ from qhyper import (
     ent_matrix_dense,
     fact1_position,
     frobenius_norm,
+    hosvd,
     mode_factor,
     mode_permute,
     mode_svals,
     multilinear_multiply,
     random_state,
     sign_string_ent,
+    state_to_hypermatrix,
     verify_antidiagonal_identity,
 )
 from qhyper.cli import run_bench
@@ -171,6 +173,48 @@ def test_multilinear_shape_errors():
         multilinear_multiply([np.eye(2)] * 2, H)
     with pytest.raises(DimensionMismatchError, match="mode 2"):
         multilinear_multiply([np.eye(2), np.zeros((2, 3)), np.eye(2)], H)
+
+
+def test_multilinear_row_cap_is_checked_before_any_product():
+    # A (10**5, 2) factor would make a 10**5 x 8 intermediate (12.8 MB) before
+    # the result's own mode-length check; the row count is refused up front.
+    H = Hypermatrix(np.ones((2, 2, 2, 2)))
+    mats = [np.ones((10**5, 2), dtype=np.complex128)] + [np.eye(2, dtype=np.complex128)] * 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^mode 1 length must be in 1\.\.64, got 100000$"):
+            multilinear_multiply(mats, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Hypermatrix([["1", "x"], ["0", "1"]]),
+        lambda: Hypermatrix([[1.0, 2.0], [3.0]]),
+        lambda: multilinear_multiply([[["x", 0], [0, 1]]] * 2, Hypermatrix(np.eye(2))),
+        lambda: multilinear_multiply([[[1, 0], [0]], np.eye(2)], Hypermatrix(np.eye(2))),
+        lambda: multilinear_multiply(5, Hypermatrix(np.eye(2))),
+    ],
+    ids=["hypermatrix-string", "hypermatrix-ragged", "matrix-string", "matrix-ragged", "not-a-sequence"],
+)
+def test_conversion_errors_are_validation_errors(call):
+    with pytest.raises(ValidationError, match="convert|sequence"):
+        call()
+
+
+def test_hosvd_reconstructs_at_14_and_16_qubits():
+    # The core and reconstruct() both go through the blocked multiply; the core
+    # is checked against a mode-at-a-time einsum that shares no code with it.
+    for n in (14, 16):
+        H = state_to_hypermatrix(random_state(n, 3000 + n))
+        res = hosvd(H)
+        core = oracles.multilinear_einsum(res.factors.conj().transpose(0, 2, 1), H.data)
+        assert np.max(np.abs(res.core.data - core)) <= 1e-13
+        assert np.max(np.abs(res.reconstruct().data - H.data)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
