@@ -8,14 +8,14 @@ obtained by applying the conjugate-transposed factors to the input,
 
     core = (V_1^H, ..., V_N^H) * H,
 
-by ``multilinear_multiply``, which applies each run of three consecutive
-factors as one 8x8 Kronecker block.  So H = (V_1, ..., V_N) * core holds
-by construction, and ``reconstruct`` goes back the same way.  The core is
-all-orthogonal (slices along any mode at distinct indices have zero
-Frobenius inner product) and the norms of the mode-k slices are the
-mode-k singular values.  All modes are solved in one sweep: their Gram
-diagonals come from one |entry|^2 table folded a mode at a time, and
-their closed forms run together.
+by the product kernel behind ``multilinear_multiply``, which applies each
+run of three consecutive factors as one 8x8 Kronecker block.  So
+H = (V_1, ..., V_N) * core holds by construction, and ``reconstruct``
+goes back the same way.  The core is all-orthogonal (slices along any
+mode at distinct indices have zero Frobenius inner product) and the
+norms of the mode-k slices are the mode-k singular values.  All modes
+are solved in one sweep: their Gram diagonals come from one |entry|^2
+table folded a mode at a time, and their closed forms run together.
 
 The per-mode singular values are invariant under local unitaries and
 are therefore used as a cheap fingerprint: fingerprints that cannot be
@@ -31,11 +31,17 @@ entry and its single-flip neighbours where those are large enough, and
 from a magnitude-ordered walk otherwise.
 
 The equivalence test decomposes each input once.  The HOSVD commutes
-with mode permutation, so the record of a relabelled copy of A is A's
-stacked factors and spectra indexed by the relabeling and A's core
-transposed by it.  Alignments are generated lazily in lexicographic
-order, and the search stops at the first core match or after
-``RELABEL_CAP`` of them.
+with mode permutation, so the core of a relabelled copy of A is A's core
+transposed by the relabeling, and its spectra are A's indexed by it.
+Each candidate still canonicalizes its own transpose: the walk breaks
+ties by row-major index, which does not commute with relabeling.
+Alignments are generated lazily in lexicographic order, and the search
+stops at the first core match or after ``RELABEL_CAP`` of them.
+
+Arguments are checked once, by the public function a caller reaches.
+Below it the library runs on arrays it built from checked inputs and
+does not check them again: the core's product checks only that it is
+finite, and the search canonicalizes bare core arrays.
 """
 
 from __future__ import annotations
@@ -50,14 +56,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .tensor import (
-    Hypermatrix,
-    _inner,
-    _int_arg,
-    frobenius_norm,
-    mode_permute,
-    multilinear_multiply,
-)
+from .tensor import Hypermatrix, _inner, _int_arg, _multiply, frobenius_norm, multilinear_multiply
 
 __all__ = [
     "DEFAULT_TOL",
@@ -148,6 +147,9 @@ def _mode_sweep(H, modes=None):
     its row sums are mode k's G_00 and G_11 and its column sums the next
     table.  G_01 is one einsum over mode k's halves against one conjugated
     copy.  No sum goes through BLAS; every mode's closed form runs at once.
+    When the largest part is outside 2^-450..2^450, so that the table would
+    overflow or lose entries to underflow, the entries are first divided by
+    a power of two near it, which is exact, and the spectra multiplied back.
     """
     modes = range(H.order) if modes is None else modes
     for k in modes:
@@ -155,7 +157,12 @@ def _mode_sweep(H, modes=None):
             raise ValidationError(
                 f"mode {k + 1} has length {H.dims[k]}; this decomposition needs length 2"
             )
-    fold, diag = np.square(H.data.real) + np.square(H.data.imag), []
+    data, e = H.data, 0
+    peak = np.abs(data.view(np.float64)).max()
+    if peak and not 2.0**-450 <= peak <= 2.0**450:
+        e = math.frexp(peak)[1]
+        data = np.ldexp(data.view(np.float64), -e).view(np.complex128)
+    fold, diag = np.square(data.real) + np.square(data.imag), []
     for n in H.dims[: max(modes) + 1]:
         F = fold.reshape(n, -1)
         diag.append(F.sum(axis=1))
@@ -163,8 +170,8 @@ def _mode_sweep(H, modes=None):
     a, b = np.array([diag[k] for k in modes]).T
     # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves of
     # these views, in another column order, which G does not depend on.
-    halves = [H.data.reshape(math.prod(H.dims[:k]), 2, -1) for k in modes]
-    conj = H.data.conj()
+    halves = [data.reshape(math.prod(H.dims[:k]), 2, -1) for k in modes]
+    conj = data.conj()
     c = np.array([np.einsum("ij,ij->", X[:, 0], conj.reshape(X.shape)[:, 1]) for X in halves])
     d, s = a - b, a + b
     r = np.hypot(d, 2.0 * np.abs(c))
@@ -184,19 +191,21 @@ def _mode_sweep(H, modes=None):
         X = halves[j]
         w = x[j] * X[:, 1] - y[j] * X[:, 0]  # the unfolding projected on column 2
         lam[j, 1] = _inner(w, w)
-    spectra = np.sqrt(lam)
+    spectra = np.ldexp(np.sqrt(lam), e) if e else np.sqrt(lam)
     for arr in (factors, spectra):
         arr.setflags(write=False)
     return factors, spectra
 
 
-def _hosvd_from_sweep(H, factors, spectra) -> HosvdResult:
-    return HosvdResult(factors, multilinear_multiply(factors.conj().transpose(0, 2, 1), H), spectra)
+def _core(H, factors):
+    """(V_1^H, ..., V_N^H) * H for the factors of H's own sweep."""
+    return _multiply(factors.conj().transpose(0, 2, 1), H)
 
 
 def hosvd(H: Hypermatrix) -> HosvdResult:
     """Higher-order SVD of a hypermatrix with every mode of length 2."""
-    return _hosvd_from_sweep(H, *_mode_sweep(H))
+    factors, spectra = _mode_sweep(H)
+    return HosvdResult(factors, _core(H, factors), spectra)
 
 
 def lu_fingerprint(H: Hypermatrix) -> np.ndarray:
@@ -245,26 +254,48 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     choice, not a gauge fix (on the support {000, 011, 101, 110}, say,
     no entry differs from the anchor in one mode only).
 
-    ``negligible`` must be a positive finite real number, not a bool.
+    ``negligible`` must be a positive finite real number, not a bool.  The
+    record's core must be a :class:`Hypermatrix` with every mode of length 2
+    (else ValidationError), and its factors and spectra must have shapes
+    (N, 2, 2) and (N, 2) for an order-N core (else DimensionMismatchError).
     Returns a new :class:`HosvdResult`.
     """
     real = isinstance(negligible, numbers.Real) and not isinstance(negligible, bool)
     if not real or not 0.0 < negligible < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {negligible!r}")
-    core = result.core.data
+    core = result.core
+    if not isinstance(core, Hypermatrix) or core.dims != (2,) * core.order:
+        what = f"dims {core.dims}" if isinstance(core, Hypermatrix) else type(core).__name__
+        raise ValidationError(f"the core must be a Hypermatrix with every mode of length 2, got {what}")
+    n = core.order
+    for name, shape in (("factors", (n, 2, 2)), ("mode_svals", (n, 2))):
+        if (got := np.shape(getattr(result, name))) != shape:
+            raise DimensionMismatchError(f"{name} must have shape {shape} for an order-{n} core, got {got}")
+    canon, phases = _canonicalize(core.data, result.mode_svals, negligible)
+    if phases is None:
+        return result
+    # Column j of V_k takes conj(phases[k, j]), all modes in one broadcast.
+    factors = np.asarray(result.factors) * phases.conj()[:, None, :]
+    factors.setflags(write=False)
+    return HosvdResult(factors, Hypermatrix._wrap(canon), result.mode_svals)
+
+
+def _canonicalize(core, spectra, negligible):
+    """:func:`canonicalize_core` on a core array and its (N, 2) spectra, unchecked:
+    the canonical core and the (N, 2) phase table, or (core, None) if core is 0."""
     n = core.ndim
     flat = core.reshape(-1)
     mags = np.abs(flat)
     anchor = int(np.argmax(mags))
     top = float(mags[anchor])
     if top <= 0.0:
-        return result
+        return core, None
     g = -cmath.phase(flat[anchor])
     rho = [0.0] * n
     free = (1 << n) - 1  # bits of the modes not yet pinned
     # The walk's tie-group test below: no second entry in the top group.
     if np.count_nonzero(mags - top >= -negligible) == 1:
-        lam = np.square(result.mode_svals)
+        lam = np.square(spectra)
         gap = lam[:, 0] - lam[:, 1]
         cond = 1.0 + np.sum(lam.sum(axis=1) / gap) if gap.all() else np.inf
         floor = top * top * 4 * np.finfo(float).eps * cond / negligible
@@ -307,11 +338,7 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     table = np.ones(1, dtype=np.complex128)
     for pk in phases[::-1]:
         table = (pk[:, None] * table).ravel()
-    # Column j of V_k takes conj(phases[k, j]), all modes in one broadcast.
-    factors = np.asarray(result.factors) * phases.conj()[:, None, :]
-    factors.setflags(write=False)
-    canon = Hypermatrix._wrap((flat * table).reshape(core.shape))
-    return HosvdResult(factors, canon, result.mode_svals)
+    return (flat * table).reshape(core.shape), phases
 
 
 class LuTag(Enum):
@@ -412,14 +439,13 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
         rule, mode = "spectra", int(np.argmin(match.diagonal())) + 1
     elif mode := next(degenerate, 0):
         rule = "degenerate"
-    else:  # A is decomposed once; a candidate re-indexes its record (module docstring)
-        ra = _hosvd_from_sweep(A, factors_a, fa)
-        cb = canonicalize_core(_hosvd_from_sweep(B, factors_b, fb), negligible=tol / 4).core
+    else:  # each candidate canonicalizes A's core transposed, checking nothing again (module docstring)
+        core_a = _core(A, factors_a).data
+        cb = _canonicalize(_core(B, factors_b).data, fb, tol / 4)[0]
         for sigma in itertools.islice(itertools.chain((sigma,), candidates), RELABEL_CAP):
             idx = np.subtract(sigma, 1)
-            permuted = HosvdResult(ra.factors[idx], mode_permute(ra.core, sigma), fa[idx])
-            ca = canonicalize_core(permuted, negligible=tol / 4).core
-            gap = float(np.max(np.abs(ca.data - cb.data)))
+            ca = _canonicalize(core_a.transpose(idx), fa[idx], tol / 4)[0]
+            gap = float(np.max(np.abs(ca - cb)))
             if gap <= tol:
                 rule = "core-match"
                 break

@@ -59,13 +59,21 @@ class Hypermatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        self._data = _validated(_complex_array(data, "hypermatrix entries", copy=True))
+        arr = _complex_array(data, "hypermatrix entries", copy=True)
+        if arr.ndim < 1 or arr.ndim > MAX_ORDER:
+            raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {arr.ndim}")
+        _check_mode_lengths(arr.shape)
+        if not np.isfinite(arr).all():
+            raise ValidationError("entries must be finite")
+        arr.setflags(write=False)
+        self._data = arr
 
     @classmethod
     def _wrap(cls, arr):
-        # Internal fast path: take ownership of a freshly built array.
+        # Trusted path: own an array built from checked inputs, checking nothing again.
         obj = cls.__new__(cls)
-        obj._data = _validated(np.ascontiguousarray(arr, dtype=np.complex128))
+        obj._data = np.ascontiguousarray(arr, dtype=np.complex128)
+        obj._data.setflags(write=False)
         return obj
 
     @property
@@ -110,25 +118,6 @@ def _check_mode_lengths(lengths):
             )
 
 
-def _validated(arr):
-    if arr.ndim < 1 or arr.ndim > MAX_ORDER:
-        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {arr.ndim}")
-    _check_mode_lengths(arr.shape)
-    if not np.isfinite(arr).all():
-        raise ValidationError("entries must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_matrix(A, which):
-    arr = _complex_array(A, which)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{which} must be a matrix, got ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{which} has non-finite entries")
-    return arr
-
-
 def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     """Multilinear matrix multiplication (A_1, A_2, ..., A_N) * H.
 
@@ -165,7 +154,7 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     ValidationError
         If ``matrices`` is not a sequence, a matrix does not convert to a
         complex array or has non-finite entries, or a row count is outside
-        1..64.  All of these are checked before any product is formed.
+        1..64, all checked before any product is formed; or the product overflows.
     """
     try:
         numbered = enumerate(matrices, 1)
@@ -173,7 +162,14 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
         raise ValidationError(
             f"matrices must be a sequence of matrices, got {type(matrices).__name__}"
         ) from None
-    mats = [_as_matrix(A, f"matrix for mode {k}") for k, A in numbered]
+    mats = []
+    for k, A in numbered:
+        A = _complex_array(A, f"matrix for mode {k}")
+        if A.ndim != 2:
+            raise DimensionMismatchError(f"matrix for mode {k} must be a matrix, got ndim {A.ndim}")
+        if not np.isfinite(A).all():
+            raise ValidationError(f"matrix for mode {k} has non-finite entries")
+        mats.append(A)
     if len(mats) != H.order:
         raise DimensionMismatchError(
             f"need {H.order} matrices for an order-{H.order} hypermatrix, got {len(mats)}"
@@ -184,8 +180,14 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
                 f"matrix for mode {k + 1} has {A.shape[1]} columns, mode length is {H.dims[k]}"
             )
     _check_mode_lengths([A.shape[0] for A in mats])
+    return _multiply(mats, H)
+
+
+def _multiply(mats, H):
+    """:func:`multilinear_multiply` on matrices checked against H (2-D arrays or one
+    (N, rows, cols) stack).  Only the product is checked: finite ones can overflow."""
     # Blocks are built by broadcasting: block[(i, i'), (j, j')] = K[i, j] * A[i', j'].
-    blocks = mats[:1]
+    blocks = [mats[0]]
     for A in mats[1:]:
         K = blocks[-1]
         rows, cols = K.shape[0] * A.shape[0], K.shape[1] * A.shape[1]
@@ -203,6 +205,8 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
         out = B @ out.reshape(done, n, rest).swapaxes(0, 1).reshape(n, -1)
         done *= B.shape[0]
     out = out.reshape([B.shape[0] for B in reversed(blocks)]).transpose()
+    if not np.isfinite(out).all():
+        raise ValidationError("the product has non-finite entries")
     return Hypermatrix._wrap(out.reshape([A.shape[0] for A in mats]))
 
 

@@ -1,5 +1,6 @@
 """Closed-form qubit HOSVD, fingerprints, canonicalization, equivalence."""
 
+import cmath
 import dataclasses
 import importlib
 import itertools
@@ -80,6 +81,19 @@ def test_mode_svals_cross_validated(order):
             np.testing.assert_allclose(sv, oracles.svd_svals(M), atol=CROSS_TOL)
             np.testing.assert_allclose(sv, oracles.gram_svals(M), atol=CROSS_TOL)
             assert sv[0] >= sv[1] >= 0.0
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-170, 1e-300])
+def test_spectra_survive_entries_whose_squares_leave_the_float_range(scale):
+    # |entry|^2 overflows to inf above ~1e154 and underflows to 0 below ~1e-162;
+    # the spectra used to read [[inf, nan], [inf, nan]] or all zeros here.
+    H = Hypermatrix(scale * np.array([[1.0, 3.0], [1.0, 0.0]]))
+    res = hosvd(H)
+    for k in (1, 2):
+        expect = oracles.svd_svals(oracles.unfold_by_formula(H.data, k))
+        for got in (lu_fingerprint(H)[k - 1], mode_svals(H, k), res.mode_svals[k - 1]):
+            np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(res.reconstruct().data, H.data, rtol=0, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -389,6 +403,26 @@ def test_canonicalize_rejects_bad_negligible(negligible):
     res = hosvd(random_qubit_tensor(np.random.default_rng(607), 3))
     with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
         canonicalize_core(res, negligible=negligible)
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("mode_svals", np.array([0.9, 0.3, 0.1]), DimensionMismatchError,
+         r"^mode_svals must have shape \(3, 2\) .*, got \(3,\)$"),
+        ("factors", np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)), DimensionMismatchError,
+         r"^factors must have shape \(3, 2, 2\) .*, got \(2, 2, 2\)$"),
+        ("core", np.ones((2, 2, 2), dtype=complex), ValidationError, r"^the core must be .*, got ndarray$"),
+        ("core", Hypermatrix(np.ones((2, 3, 2))), ValidationError, r"^the core must be .*, got dims \(2, 3, 2\)$"),
+    ],
+    ids=["spectra-row", "two-factors", "ndarray-core", "length-3-mode"],
+)
+def test_canonicalize_checks_the_record_it_is_given(field, value, error, message):
+    # A hand-built record used to fail inside the kernel with a bare IndexError
+    # (spectra row), ValueError (phase broadcast) or AttributeError (ndarray core).
+    res = hosvd(random_qubit_tensor(np.random.default_rng(609), 3))
+    with pytest.raises(error, match=message):
+        canonicalize_core(dataclasses.replace(res, **{field: value}))
 
 
 def test_diagonal_phase_pairs_canonicalize_to_equal_cores():
@@ -820,6 +854,27 @@ def test_lu_equivalence_matches_recompute_oracle(A, B):
     assert got.rule == expect.rule
 
 
+def test_lu_equivalence_tries_each_transpose_with_its_own_canonicalization():
+    # A tied pair of top entries sends both cores to the walk, whose row-major
+    # tie-break does not commute with relabeling: A's canonical core transposed by
+    # sigma misses the canonical core of A's sigma-copy by 0.208, so a search that
+    # canonicalized A once and compared transposes would answer exhausted.
+    terms = {0b1111: (0.995918, 4.046036), 0b0100: (0.995918, 2.915835),
+             0b1010: (0.672104, 3.244322), 0b1000: (0.840127, 0.304254)}
+    amp = np.zeros(16, dtype=complex)
+    for index, (mag, phase) in terms.items():
+        amp[index] = mag * cmath.exp(1j * phase)
+    A = Hypermatrix((amp / np.linalg.norm(amp)).reshape(2, 2, 2, 2))
+    sigma = (1, 3, 2, 4)
+    B = mode_permute(A, sigma)
+    once = mode_permute(canonicalize_core(hosvd(A)).core, sigma)
+    assert np.max(np.abs(once.data - canonicalize_core(hosvd(B)).core.data)) > 0.2
+    got = lu_equivalence(A, B)
+    assert (got.tag, got.rule) == (LuTag.EQUIVALENT_CORE_MATCH, "core-match")
+    expect = oracles.lu_equivalence_recompute(A, B, TOL)
+    assert (got.tag, got.rule, got.detail) == (expect.tag, expect.rule, expect.detail)
+
+
 def test_oracle_cases_reach_every_rule():
     rules = Counter(lu_equivalence(*case.values).rule for case in _oracle_cases())
     assert rules == {"degenerate": 6, "spectra": 6, "core-match": 18, "cap": 1, "exhausted": 4}
@@ -846,10 +901,8 @@ def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
 def test_lu_equivalence_capped_search(monkeypatch):
     # W_7 against its GHZ-like twin: 7! = 5040 alignments, none matches.
     calls = []
-    real = HOSVD_MODULE.canonicalize_core
-    monkeypatch.setattr(
-        HOSVD_MODULE, "canonicalize_core", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-    )
+    real = HOSVD_MODULE._canonicalize
+    monkeypatch.setattr(HOSVD_MODULE, "_canonicalize", lambda *a: calls.append(1) or real(*a))
     verdict = lu_equivalence(*_w_and_ghz_like(7))
     assert verdict.tag is LuTag.INCONCLUSIVE
     assert "capped at 720 candidates" in verdict.detail

@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,15 @@ def test_multilinear_shape_errors():
         multilinear_multiply([np.eye(2)] * 2, H)
     with pytest.raises(DimensionMismatchError, match="mode 2"):
         multilinear_multiply([np.eye(2), np.zeros((2, 3)), np.eye(2)], H)
+
+
+def test_multilinear_product_that_overflows_is_rejected():
+    # Every factor and entry is finite, but 1e200 * 1e200 is not.  NumPy may warn
+    # about the overflow in the matrix product first; the error is what counts.
+    H = Hypermatrix(np.full((2, 2), 1e200))
+    with warnings.catch_warnings(), pytest.raises(ValidationError, match="^the product has non-finite entries$"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        multilinear_multiply([np.full((2, 2), 1e200), np.eye(2)], H)
 
 
 def test_multilinear_row_cap_is_checked_before_any_product():
