@@ -33,15 +33,21 @@ from a magnitude-ordered walk otherwise.
 The equivalence test decomposes each input once.  The HOSVD commutes
 with mode permutation, so the core of a relabelled copy of A is A's core
 transposed by the relabeling, and its spectra are A's indexed by it.
-Each candidate still canonicalizes its own transpose: the walk breaks
-ties by row-major index, which does not commute with relabeling.
+Canonicalization is two steps: a plan picks the anchor and the entries
+that pin each mode's phase, from entry magnitudes and mode spectra only,
+and a replay makes those entries real positive.  Both inputs are
+LU-invariant, so any transpose of A's core that can match B's has B's
+plan; the search plans once, on B, and replays that plan on B's core and
+on each candidate transpose.  A's canonical core, transposed, would not
+do: where the walk breaks ties by row-major index, it does not commute
+with relabeling.
 Alignments are generated lazily in lexicographic order, and the search
 stops at the first core match or after ``RELABEL_CAP`` of them.
 
 Arguments are checked once, by the public function a caller reaches.
 Below it the library runs on arrays it built from checked inputs and
 does not check them again: the core's product checks only that it is
-finite, and the search canonicalizes bare core arrays.
+finite, and the search replays its plan on bare core arrays.
 """
 
 from __future__ import annotations
@@ -149,7 +155,8 @@ def _mode_sweep(H, modes=None):
     copy.  No sum goes through BLAS; every mode's closed form runs at once.
     When the largest part is outside 2^-450..2^450, so that the table would
     overflow or lose entries to underflow, the entries are first divided by
-    a power of two near it, which is exact, and the spectra multiplied back.
+    a power of two near it, which is exact, and the spectra multiplied back;
+    a spectrum that this would take past the float range is a ValidationError.
     """
     modes = range(H.order) if modes is None else modes
     for k in modes:
@@ -191,7 +198,10 @@ def _mode_sweep(H, modes=None):
         X = halves[j]
         w = x[j] * X[:, 1] - y[j] * X[:, 0]  # the unfolding projected on column 2
         lam[j, 1] = _inner(w, w)
-    spectra = np.ldexp(np.sqrt(lam), e) if e else np.sqrt(lam)
+    spectra = np.sqrt(lam)
+    if e > 0 and spectra.max() >= 2.0 ** (1024 - e):  # times 2^e it reaches 2^1024
+        raise ValidationError("a mode singular value is past the floating-point range")
+    spectra = np.ldexp(spectra, e) if e else spectra
     for arr in (factors, spectra):
         arr.setflags(write=False)
     return factors, spectra
@@ -271,27 +281,27 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
     for name, shape in (("factors", (n, 2, 2)), ("mode_svals", (n, 2))):
         if (got := np.shape(getattr(result, name))) != shape:
             raise DimensionMismatchError(f"{name} must have shape {shape} for an order-{n} core, got {got}")
-    canon, phases = _canonicalize(core.data, result.mode_svals, negligible)
-    if phases is None:
+    plan = _plan(core.data, result.mode_svals, negligible)
+    if plan is None:  # a zero core has no phases to fix
         return result
+    canon, phases = _replay(core.data, plan)
     # Column j of V_k takes conj(phases[k, j]), all modes in one broadcast.
     factors = np.asarray(result.factors) * phases.conj()[:, None, :]
     factors.setflags(write=False)
     return HosvdResult(factors, Hypermatrix._wrap(canon), result.mode_svals)
 
 
-def _canonicalize(core, spectra, negligible):
-    """:func:`canonicalize_core` on a core array and its (N, 2) spectra, unchecked:
-    the canonical core and the (N, 2) phase table, or (core, None) if core is 0."""
+def _plan(core, spectra, negligible):
+    """Which entries of a core array fix its canonical phases (:func:`canonicalize_core`),
+    read from its magnitudes and (N, 2) spectra only: the anchor, the (N,) mask of the modes
+    its single-flip neighbours pin, and the walk's ordered (entry, mode) pins; None for 0."""
     n = core.ndim
-    flat = core.reshape(-1)
-    mags = np.abs(flat)
+    mags = np.abs(core.reshape(-1))
     anchor = int(np.argmax(mags))
     top = float(mags[anchor])
     if top <= 0.0:
-        return core, None
-    g = -cmath.phase(flat[anchor])
-    rho = [0.0] * n
+        return None
+    pin, walk = np.zeros(n, dtype=bool), []
     free = (1 << n) - 1  # bits of the modes not yet pinned
     # The walk's tie-group test below: no second entry in the top group.
     if np.count_nonzero(mags - top >= -negligible) == 1:
@@ -301,7 +311,6 @@ def _canonicalize(core, spectra, negligible):
         floor = top * top * 4 * np.finfo(float).eps * cond / negligible
         bits = 1 << np.arange(n - 1, -1, -1)  # mode k is bit n-1-k of an index
         pin = mags[anchor ^ bits] > max(negligible, floor)
-        rho = np.where(pin, -(np.angle(flat[anchor ^ bits]) + g), 0.0).tolist()
         free ^= int(bits[pin].sum())
     if free:
         keep = mags > negligible  # and the largest entry, however small
@@ -314,7 +323,6 @@ def _canonicalize(core, spectra, negligible):
         group = np.cumsum(np.diff(mags[support], prepend=top) < -negligible)
         support = support[np.argsort(group << n | support)]
         anchor = int(support[0])  # its flip below is 0, so it pins no mode
-        g = -cmath.phase(flat[anchor])
         flips = support ^ anchor  # entry i differs from the anchor in the modes set here
         for _ in range(n):  # every round pins at least one mode
             counts = np.bitwise_count(flips & free)
@@ -322,13 +330,25 @@ def _canonicalize(core, spectra, negligible):
             touched = single if single.size else np.flatnonzero(counts)
             if not touched.size:
                 break
-            j = int(touched[0])
-            flip = int(flips[j])
-            k = n - (flip & free).bit_length()  # the entry's smallest free mode
-            theta = cmath.phase(flat[support[j]]) + g
-            theta += sum(rho[m] for m in range(n) if m != k and flip >> (n - 1 - m) & 1)
-            rho[k] = -theta
+            flip = int(flips[touched[0]])
+            walk.append((anchor ^ flip, n - (flip & free).bit_length()))  # the entry, its smallest free mode
             free &= ~flip  # its other free modes keep phase 0
+    return anchor, pin, walk
+
+
+def _replay(core, plan):
+    """Make each entry that a :func:`_plan` pins real positive, in its order: the canonical
+    core array and the (N, 2) phase table."""
+    anchor, pin, walk = plan
+    n = core.ndim
+    flat = core.reshape(-1)
+    g = -cmath.phase(flat[anchor])
+    bits = 1 << np.arange(n - 1, -1, -1)  # mode k is bit n-1-k of an index
+    rho = np.where(pin, -(np.angle(flat[anchor ^ bits]) + g), 0.0).tolist()
+    for entry, k in walk:  # each adds the pinned phases of the other modes it differs in
+        theta = cmath.phase(flat[entry]) + g
+        theta += sum(rho[m] for m in range(n) if m != k and (entry ^ anchor) >> (n - 1 - m) & 1)
+        rho[k] = -theta
 
     phases = np.ones((n, 2), dtype=np.complex128)
     for k in range(n):
@@ -439,12 +459,12 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
         rule, mode = "spectra", int(np.argmin(match.diagonal())) + 1
     elif mode := next(degenerate, 0):
         rule = "degenerate"
-    else:  # each candidate canonicalizes A's core transposed, checking nothing again (module docstring)
-        core_a = _core(A, factors_a).data
-        cb = _canonicalize(_core(B, factors_b).data, fb, tol / 4)[0]
+    else:  # B's plan, replayed on B's core and on A's transposed by each candidate (module docstring)
+        core_a, core_b = _core(A, factors_a).data, _core(B, factors_b).data
+        plan = _plan(core_b, fb, tol / 4)
+        cb = _replay(core_b, plan)[0]
         for sigma in itertools.islice(itertools.chain((sigma,), candidates), RELABEL_CAP):
-            idx = np.subtract(sigma, 1)
-            ca = _canonicalize(core_a.transpose(idx), fa[idx], tol / 4)[0]
+            ca = _replay(core_a.transpose(np.subtract(sigma, 1)), plan)[0]
             gap = float(np.max(np.abs(ca - cb)))
             if gap <= tol:
                 rule = "core-match"

@@ -51,6 +51,7 @@ buffers: the accumulator and one product row.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -381,6 +382,14 @@ def _cuboid_side(H):
     return m
 
 
+def _finite(total):
+    """``total``, a hyperdeterminant sum, unless it overflowed: then ValidationError."""
+    if not cmath.isfinite(total):
+        raise ValidationError("the hyperdeterminant sum is past the floating-point range")
+    return total
+
+
+@np.errstate(all="ignore")  # an overflow raises ValidationError (_finite), not NumPy's warning
 def _perm_sum(H, pinned):
     """Sum over tuples (s_1, ..., s_N) in S_m^N of the signed products
     sgn(s_1) ... sgn(s_N) * prod_j H_{s_1(j) ... s_N(j)}, with s_1 fixed
@@ -403,7 +412,7 @@ def _perm_sum(H, pinned):
         for j in range(1, m):
             prod *= rows[w[j], pos[j]]
         total += s * np.sum(np.multiply(prod, sign, out=prod))
-    return total
+    return _finite(total)
 
 
 def hdet_general(H: Hypermatrix) -> complex:
@@ -429,6 +438,7 @@ def hdet_reduced(H: Hypermatrix) -> complex:
     return complex(_perm_sum(H, True))
 
 
+@np.errstate(all="ignore")  # an overflow raises ValidationError (_finite), not NumPy's warning
 def hdet_fast(state) -> complex:
     """Hyperdeterminant of a 2n-qubit state via the antidiagonal pairing.
 
@@ -456,4 +466,4 @@ def hdet_fast(state) -> complex:
     for row, mate, flip in zip(rows[1:], mates[1:], odd):
         np.multiply(row, mate, out=buf)
         (np.subtract if flip else np.add)(acc, buf, out=acc)
-    return complex(np.multiply(acc, _CHI_BLOCK[:width], out=acc).sum())
+    return _finite(complex(np.multiply(acc, _CHI_BLOCK[:width], out=acc).sum()))

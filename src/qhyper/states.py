@@ -512,6 +512,12 @@ def apply_local_unitaries(state: QubitState, unitaries) -> QubitState:
 
     Implemented directly on the amplitude vector, one qubit at a time,
     independently of the hypermatrix machinery.
+
+    Each matrix passes :func:`validate_unitary`, so the entries of U^H U - I
+    are at most d = 1e-10 and U scales a squared norm by a factor within
+    1 +- 2d.  The result's squared norm keeps its bits within ``NORM_TOL``
+    of 1, is rescaled to 1 when off by at most (1 + NORM_TOL)(1 + 2d)^n - 1
+    (where a valid state can land), and is a ValidationError beyond that.
     """
     n = state.num_qubits
     mats = list(unitaries)
@@ -522,7 +528,10 @@ def apply_local_unitaries(state: QubitState, unitaries) -> QubitState:
     for k, U in enumerate(mats):
         block = psi.reshape(2**k, 2, -1)
         psi = np.einsum("ab,ibj->iaj", U, block).reshape(-1)
-    return QubitState(psi)
+    drift = abs(_inner(psi, psi) - 1.0)
+    if drift > (1.0 + NORM_TOL) * (1.0 + 2.0 * _UNITARY_TOL) ** n - 1.0:
+        return QubitState(psi)  # fails the norm check and says why
+    return QubitState(psi, norm="renormalize" if drift > NORM_TOL else "skip")
 
 
 def n_tangle(state: QubitState, via: str = "spinflip") -> float:
@@ -535,7 +544,10 @@ def n_tangle(state: QubitState, via: str = "spinflip") -> float:
     """
     if via not in ("spinflip", "hdet"):
         raise ValidationError(f"via must be 'spinflip' or 'hdet', got {via!r}")
-    return float(4.0 * abs(hdet_fast(state)) ** 2)
+    h = abs(hdet_fast(state))
+    if h >= 2.0**511:  # 4 h^2 >= 2^1024, past the largest float
+        raise ValidationError(f"the n-tangle 4 |hdet|^2 is past the floating-point range (|hdet| = {h!r})")
+    return float(4.0 * h**2)
 
 
 def _rng(seed):

@@ -183,6 +183,7 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     return _multiply(mats, H)
 
 
+@np.errstate(all="ignore")  # an overflow raises ValidationError below, not NumPy's warning
 def _multiply(mats, H):
     """:func:`multilinear_multiply` on matrices checked against H (2-D arrays or one
     (N, rows, cols) stack).  Only the product is checked: finite ones can overflow."""

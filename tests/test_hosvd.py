@@ -96,6 +96,23 @@ def test_spectra_survive_entries_whose_squares_leave_the_float_range(scale):
     np.testing.assert_allclose(res.reconstruct().data, H.data, rtol=0, atol=1e-14 * scale)
 
 
+@pytest.mark.parametrize(
+    "entry_point",
+    [lu_fingerprint, hosvd, lambda H: mode_svals(H, 1), lambda H: mode_factor(H, 2)],
+    ids=["lu_fingerprint", "hosvd", "mode_svals", "mode_factor"],
+)
+def test_spectra_past_the_float_range_are_rejected(entry_point):
+    # The top spectrum of this H is 2e308, past the largest float: a ValidationError,
+    # not inf and not NumPy's overflow warning (an error under the test configuration).
+    with pytest.raises(ValidationError, match="^a mode singular value is past the floating-point range$"):
+        entry_point(Hypermatrix(np.full((2, 2), 1e308)))
+
+
+def test_spectra_just_inside_the_float_range_are_kept():
+    big = np.finfo(float).max
+    np.testing.assert_array_equal(lu_fingerprint(Hypermatrix(np.array([[big, 0.0], [0.0, 0.0]]))), [[big, 0.0]] * 2)
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_mode_factor_diagonalizes_gram(order):
     rng = np.random.default_rng(200 + order)
@@ -858,7 +875,9 @@ def test_lu_equivalence_tries_each_transpose_with_its_own_canonicalization():
     # A tied pair of top entries sends both cores to the walk, whose row-major
     # tie-break does not commute with relabeling: A's canonical core transposed by
     # sigma misses the canonical core of A's sigma-copy by 0.208, so a search that
-    # canonicalized A once and compared transposes would answer exhausted.
+    # canonicalized A once and compared transposes would answer exhausted.  The
+    # search replays B's pins on each transpose instead, which picks the entries
+    # that the transpose's own canonicalization picks whenever its magnitudes are B's.
     terms = {0b1111: (0.995918, 4.046036), 0b0100: (0.995918, 2.915835),
              0b1010: (0.672104, 3.244322), 0b1000: (0.840127, 0.304254)}
     amp = np.zeros(16, dtype=complex)
@@ -900,10 +919,43 @@ def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
 
 def test_lu_equivalence_capped_search(monkeypatch):
     # W_7 against its GHZ-like twin: 7! = 5040 alignments, none matches.
-    calls = []
-    real = HOSVD_MODULE._canonicalize
-    monkeypatch.setattr(HOSVD_MODULE, "_canonicalize", lambda *a: calls.append(1) or real(*a))
+    calls = Counter()
+    for name in ("_plan", "_replay"):
+        real = getattr(HOSVD_MODULE, name)
+        monkeypatch.setattr(HOSVD_MODULE, name, lambda *a, name=name, real=real: calls.update([name]) or real(*a))
     verdict = lu_equivalence(*_w_and_ghz_like(7))
     assert verdict.tag is LuTag.INCONCLUSIVE
     assert "capped at 720 candidates" in verdict.detail
-    assert len(calls) == 721  # B once, then one per tried alignment
+    assert calls["_plan"] == 1  # B's, once per call
+    assert calls["_replay"] == 721  # B once, then one per tried alignment
+
+
+def _tied_sparse_amplitudes(n, rng):
+    # 3-8 nonzero entries with random phases, the two largest equal in magnitude.
+    k = int(rng.integers(3, min(8, 2**n) + 1))
+    mags = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+    mags[1] = mags[0]
+    amp = np.zeros(2**n, dtype=complex)
+    amp[rng.choice(2**n, k, replace=False)] = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    return amp / np.linalg.norm(amp)
+
+
+def test_lu_equivalence_on_tied_sparse_copies_matches_recompute_oracle():
+    # A tied top sends both cores to the walk.  Replaying B's plan on each transpose
+    # must reach the rule that canonicalizing every transpose afresh reaches.  On two
+    # of these copies (5 and 7 qubits) a search that canonicalized A once and compared
+    # its transposes would answer exhausted where the oracle answers core-match.
+    rng = np.random.default_rng(2037)
+    rules = Counter()
+    for n in range(3, 9):
+        for _ in range(8):
+            amp = _tied_sparse_amplitudes(n, rng)
+            A = Hypermatrix(amp.reshape((2,) * n))
+            Us = [random_su2(rng.integers(2**63)) for _ in range(n)]
+            mapping = tuple(int(j) + 1 for j in rng.permutation(n))
+            B = mode_permute(state_to_hypermatrix(apply_local_unitaries(QubitState(amp), Us)), mapping)
+            got = lu_equivalence(A, B)
+            expect = oracles.lu_equivalence_recompute(A, B, TOL)
+            assert (got.tag, got.rule) == (expect.tag, expect.rule), (n, amp)
+            rules[got.rule] += 1
+    assert rules["core-match"] and rules["exhausted"]  # both sides of the walk's zeroed phases

@@ -475,6 +475,32 @@ def test_perm_tables_match_loop_oracle(m, order):
 # hyperdeterminants
 
 
+@pytest.mark.parametrize(
+    "entry_point, arg",
+    [
+        (hdet_reduced, Hypermatrix(np.full((2, 2), 1e200))),
+        (hdet_general, Hypermatrix(np.full((2, 2), 1e200))),
+        (hdet_fast, QubitState(np.full(4, 1e200), norm="skip")),
+        (n_tangle, QubitState(np.full(4, 1e200), norm="skip")),
+        (hdet_fast, QubitState(np.full(2**16, 1e200), norm="skip")),  # many rows
+    ],
+    ids=["hdet_reduced", "hdet_general", "hdet_fast", "n_tangle", "hdet_fast-16"],
+)
+def test_hyperdeterminant_that_overflows_is_rejected(entry_point, arg):
+    # 1e200 * 1e200 is past the float range: a ValidationError, not inf or NaN and
+    # not NumPy's overflow warning (an error under the test configuration).
+    with pytest.raises(ValidationError, match="^the hyperdeterminant sum is past the floating-point range$"):
+        entry_point(arg)
+
+
+def test_n_tangle_past_the_float_range_is_rejected():
+    # hdet = 1e160 is finite, but 4 |hdet|^2 = 4e320 is not; Python's float power
+    # used to raise OverflowError here.
+    with pytest.raises(ValidationError, match=r"^the n-tangle 4 \|hdet\|\^2 is past the floating-point range"):
+        n_tangle(QubitState([1e80, 0, 0, 1e80], norm="skip"))
+    assert n_tangle(QubitState([2.0**255, 0, 0, 2.0**255], norm="skip")) == 2.0**1022  # |hdet| = 2^510
+
+
 def test_hdet_general_matrix_is_determinant():
     for side, seed in ((2, 0), (3, 1)):
         H = random_cuboid(side, 2, seed)

@@ -456,6 +456,22 @@ def test_unitaries_with_non_finite_entries_are_rejected(bad, whole):
         apply_local_unitaries(parse_ket("|00>"), [np.eye(2), U])
 
 
+def test_apply_local_unitaries_accepts_its_own_output():
+    # U passes validate_unitary with a defect of 9.8e-11, and each factor moves the
+    # squared norm by about that much: two of them take |00> past NORM_TOL, which the
+    # result used to fail.  It is rescaled instead; exact unitaries keep their bits.
+    U = np.diag([1 + 4.9e-11, 1.0])
+    validate_unitary(U)
+    out = apply_local_unitaries(parse_ket("|00>"), [U, U])
+    assert out.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+    s = random_state(3, 46)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flipped = apply_local_unitaries(s, [X, np.eye(2), X])
+    np.testing.assert_array_equal(flipped.amplitudes, s.amplitudes.reshape(2, 2, 2)[::-1, :, ::-1].reshape(-1))
+    with pytest.raises(ValidationError, match="not normalized"):  # beyond what the factors can move
+        apply_local_unitaries(QubitState([1.0, 1e-4], norm="skip"), [U])
+
+
 def test_apply_local_unitaries_preserves_norm():
     rng = np.random.default_rng(45)
     s = random_state(3, rng)

@@ -3,7 +3,6 @@
 import io
 import json
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -177,12 +176,18 @@ def test_multilinear_shape_errors():
 
 
 def test_multilinear_product_that_overflows_is_rejected():
-    # Every factor and entry is finite, but 1e200 * 1e200 is not.  NumPy may warn
-    # about the overflow in the matrix product first; the error is what counts.
+    # Every factor and entry is finite, but 1e200 * 1e200 is not.  The error comes
+    # without NumPy's overflow warning, which the test configuration makes an error.
     H = Hypermatrix(np.full((2, 2), 1e200))
-    with warnings.catch_warnings(), pytest.raises(ValidationError, match="^the product has non-finite entries$"):
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with pytest.raises(ValidationError, match="^the product has non-finite entries$"):
         multilinear_multiply([np.full((2, 2), 1e200), np.eye(2)], H)
+
+
+def test_multilinear_kronecker_block_that_overflows_is_rejected():
+    # Two finite factors whose Kronecker block (1e200 * 1e200) is not.
+    H = Hypermatrix(np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="^the product has non-finite entries$"):
+        multilinear_multiply([np.full((2, 2), 1e200)] * 2, H)
 
 
 def test_multilinear_row_cap_is_checked_before_any_product():
