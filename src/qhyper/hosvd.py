@@ -294,7 +294,7 @@ def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 
 def _plan(core, spectra, negligible):
     """Which entries of a core array fix its canonical phases (:func:`canonicalize_core`),
     read from its magnitudes and (N, 2) spectra only: the anchor, the (N,) mask of the modes
-    its single-flip neighbours pin, and the walk's ordered (entry, mode) pins; None for 0."""
+    its single-flip neighbours pin, and the walk's ordered (entry, mode) pins; None if it is 0."""
     n = core.ndim
     mags = np.abs(core.reshape(-1))
     anchor = int(np.argmax(mags))
