@@ -30,9 +30,13 @@ more past the cap.  The canonical phases come from the largest core
 entry and its single-flip neighbours where those are large enough, and
 from a magnitude-ordered walk otherwise.
 
-The equivalence test decomposes each input once.  The HOSVD commutes
-with mode permutation, so the core of a relabelled copy of A is A's core
-transposed by the relabeling, and its spectra are A's indexed by it.
+The equivalence test decomposes each input once, and both together: A and
+B go through the sweep as one (2, 2, ..., 2) stack, and their cores come
+from one stacked product.  Every public function runs the same kernels on
+a stack of one, and a row's bits do not depend on the stack it is in.  The
+HOSVD commutes with mode permutation, so the core of a relabelled copy of
+A is A's core transposed by the relabeling, and its spectra are A's
+indexed by it.
 Canonicalization is two steps: a plan picks the anchor and the entries
 that pin each mode's phase, from entry magnitudes and mode spectra only,
 and a replay makes those entries real positive.  Both inputs are
@@ -56,6 +60,7 @@ import cmath
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -136,8 +141,8 @@ def mode_factor(H: Hypermatrix, k: int):
     k = _int_arg(k, "mode")
     if not 1 <= k <= H.order:
         raise ValidationError(f"mode must be in 1..{H.order}, got {k}")
-    factors, spectra = _mode_sweep(H, (k - 1,))
-    return factors[0], spectra[0]
+    factors, spectra = _mode_sweep(H.data[None], (k - 1,))
+    return factors[0, 0], spectra[0, 0]
 
 
 def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
@@ -145,41 +150,53 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
     return mode_factor(H, k)[1]
 
 
-def _mode_sweep(H, modes=None):
-    """Factors and singular values of the zero-based ``modes`` (default: all),
-    as read-only (len(modes), 2, 2) and (len(modes), 2) arrays.
+def _mode_sweep(data, modes=None):
+    """Factors and singular values of the zero-based ``modes`` (default: all) of
+    each row of a (b, *dims) stack, as read-only (b, len(modes), 2, 2) and
+    (b, len(modes), 2) arrays.
 
-    The |entry|^2 table is folded one mode at a time: read as (n_k, rest),
-    its row sums are mode k's G_00 and G_11 and its column sums the next
-    table.  G_01 is one einsum over mode k's halves against one conjugated
-    copy.  No sum goes through BLAS; every mode's closed form runs at once.
-    When the largest part is outside 2^-450..2^450, so that the table would
-    overflow or lose entries to underflow, the entries are first divided by
-    a power of two near it, which is exact, and the spectra multiplied back;
-    a spectrum that this would take past the float range is a ValidationError.
+    Every step runs on the whole stack.  The |entry|^2 table is folded one mode
+    at a time: read as (b, n_k, rest), its row sums are mode k's G_00 and G_11
+    in every row and its column sums the next table.  G_01 is one einsum per
+    mode over the stack, mode k's halves against one conjugated copy.  No sum
+    goes through BLAS.  The closed forms, and the rank-one fallback below, run
+    over all b * len(modes) modes at once.
+
+    When the stack's largest part is outside 2^-450..2^450, so that the table
+    would overflow or lose entries to underflow, the entries are first divided
+    by a power of two near it, which is exact, and the spectra multiplied
+    back; a spectrum that this would take past the float range is a
+    ValidationError.  One exponent serves the whole stack, so rows of unit
+    norm are never rescaled.  A row then has the bits that a stack of one
+    gives it; only a rescale driven by another row's peak can change them.
     """
-    modes = range(H.order) if modes is None else modes
+    count, dims = len(data), data.shape[1:]
+    modes = range(len(dims)) if modes is None else modes
     for k in modes:
-        if H.dims[k] != 2:
-            raise ValidationError(
-                f"mode {k + 1} has length {H.dims[k]}; this decomposition needs length 2"
-            )
-    data, e = H.data, 0
+        if dims[k] != 2:
+            raise ValidationError(f"mode {k + 1} has length {dims[k]}; this decomposition needs length 2")
+    e = 0
     peak = np.abs(data.view(np.float64)).max()
     if peak and not 2.0**-450 <= peak <= 2.0**450:
         e = math.frexp(peak)[1]
         data = np.ldexp(data.view(np.float64), -e).view(np.complex128)
-    fold, diag = np.square(data.real) + np.square(data.imag), []
-    for n in H.dims[: max(modes) + 1]:
-        F = fold.reshape(n, -1)
-        diag.append(F.sum(axis=1))
-        fold = F.sum(axis=0)
-    a, b = np.array([diag[k] for k in modes]).T
+    fold = np.square(data.real) + np.square(data.imag)
+    slot = {k: i for i, k in enumerate(modes)}
+    diag = np.empty((count, len(modes), 2))  # [row, i]: G_00 and G_11 of mode modes[i]
+    for k, n in enumerate(dims[: max(modes) + 1]):
+        F = fold.reshape(count, n, -1)
+        if k in slot:
+            np.add.reduce(F, axis=2, out=diag[:, slot[k]])
+        fold = np.add.reduce(F, axis=1)
+    a, b = diag.reshape(-1, 2).T  # count * len(modes) entries, row-major (row, mode)
     # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves of
     # these views, in another column order, which G does not depend on.
-    halves = [data.reshape(math.prod(H.dims[:k]), 2, -1) for k in modes]
+    halves = [data.reshape(count, math.prod(dims[:k]), 2, -1) for k in modes]
     conj = data.conj()
-    c = np.array([np.einsum("ij,ij->", X[:, 0], conj.reshape(X.shape)[:, 1]) for X in halves])
+    c = np.empty((count, len(modes)), dtype=np.complex128)
+    for i, X in enumerate(halves):
+        c[:, i] = np.einsum("bij,bij->b", X[:, :, 0], conj.reshape(X.shape)[:, :, 1])
+    c = c.reshape(-1)
     d, s = a - b, a + b
     r = np.hypot(d, 2.0 * np.abs(c))
     lam = np.empty((len(s), 2))
@@ -191,36 +208,41 @@ def _mode_sweep(H, modes=None):
     v, u = 0.5 * (r + np.abs(d)), np.where(top, c.conj(), c)
     h = np.where(eye, 1.0, np.hypot(v, np.abs(u)))
     v, u = v / h, (u.view(np.float64) / h.repeat(2)).view(np.complex128)  # each part / h
-    x, y = np.where(top, [v, u], [u, v])
-    factors = np.array([x, -y.conj(), y, x.conj()]).T.reshape(-1, 2, 2)
+    x, y = np.where(top, v, u), np.where(top, u, v)
+    # C order whatever b, so that a one-qubit core's product takes one matmul path at every b.
+    factors = np.empty((len(s), 2, 2), dtype=np.complex128)
+    factors[:, 0, 0], factors[:, 0, 1], factors[:, 1, 0], factors[:, 1, 1] = x, -y.conj(), y, x.conj()
     factors[eye] = np.eye(2)
-    for j in np.flatnonzero(lam[:, 1] < 1e-8 * s):  # never a degenerate mode
-        X = halves[j]
+    for j in (lam[:, 1] < 1e-8 * s).nonzero()[0]:  # never a degenerate mode
+        X = halves[j % len(modes)][j // len(modes)]
         w = x[j] * X[:, 1] - y[j] * X[:, 0]  # the unfolding projected on column 2
         lam[j, 1] = _inner(w, w)
     spectra = np.sqrt(lam)
     if e > 0 and spectra.max() >= 2.0 ** (1024 - e):  # times 2^e it reaches 2^1024
         raise ValidationError("a mode singular value is past the floating-point range")
     spectra = np.ldexp(spectra, e) if e else spectra
+    factors, spectra = factors.reshape(count, -1, 2, 2), spectra.reshape(count, -1, 2)
     for arr in (factors, spectra):
         arr.setflags(write=False)
     return factors, spectra
 
 
-def _core(H, factors):
-    """(V_1^H, ..., V_N^H) * H for the factors of H's own sweep."""
-    return _multiply(factors.conj().transpose(0, 2, 1), H)
+def _cores(data, factors):
+    """The (b, *dims) stack of cores (V_1^H, ..., V_N^H) * H, one per row of a stack
+    and of its sweep's (b, N, 2, 2) factors, by one stacked product."""
+    return _multiply(factors.conj().transpose(1, 0, 3, 2), data)
 
 
 def hosvd(H: Hypermatrix) -> HosvdResult:
     """Higher-order SVD of a hypermatrix with every mode of length 2."""
-    factors, spectra = _mode_sweep(H)
-    return HosvdResult(factors, _core(H, factors), spectra)
+    data = H.data[None]
+    factors, spectra = _mode_sweep(data)
+    return HosvdResult(factors[0], Hypermatrix._wrap(_cores(data, factors)[0]), spectra[0])
 
 
 def lu_fingerprint(H: Hypermatrix) -> np.ndarray:
     """Per-mode singular values, the LU invariant, as a read-only (N, 2) array (no core)."""
-    return _mode_sweep(H)[1]
+    return _mode_sweep(H.data[None])[1][0]
 
 
 def canonicalize_core(result: HosvdResult, *, negligible: float = DEFAULT_TOL / 4):
@@ -305,10 +327,14 @@ def _plan(core, spectra, negligible):
     free = (1 << n) - 1  # bits of the modes not yet pinned
     # The walk's tie-group test below: no second entry in the top group.
     if np.count_nonzero(mags - top >= -negligible) == 1:
-        lam = np.square(spectra)
+        # cond is scale-free: the spectra are first divided by a power of two near
+        # their largest (exact), so no square overflows; the floor is formed in
+        # Python floats, where an overflow reads inf (no neighbour pin) and warns nothing.
+        spectra = np.asarray(spectra, dtype=float)
+        lam = np.square(np.ldexp(spectra, -math.frexp(float(spectra.max()))[1]))
         gap = lam[:, 0] - lam[:, 1]
-        cond = 1.0 + np.sum(lam.sum(axis=1) / gap) if gap.all() else np.inf
-        floor = top * top * 4 * np.finfo(float).eps * cond / negligible
+        cond = 1.0 + float(np.sum(lam.sum(axis=1) / gap)) if gap.all() else math.inf
+        floor = top * top * 4 * sys.float_info.epsilon * cond / negligible
         bits = 1 << np.arange(n - 1, -1, -1)  # mode k is bit n-1-k of an index
         pin = mags[anchor ^ bits] > max(negligible, floor)
         free ^= int(bits[pin].sum())
@@ -448,8 +474,8 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     for name, T in (("first", A), ("second", B)):
         if abs(frobenius_norm(T) - 1.0) > tol:
             raise ValidationError(f"{name} input is not normalized (norm {frobenius_norm(T)!r})")
-    factors_a, fa = _mode_sweep(A)
-    factors_b, fb = _mode_sweep(B)
+    data = np.stack((A.data, B.data))
+    factors, (fa, fb) = _mode_sweep(data)
     # match[k, j]: mode k of B has the spectrum of mode j of A.
     match = np.abs(fb[:, None] - fa[None]).max(axis=2) <= tol
     candidates = _alignment_candidates(match)
@@ -460,7 +486,7 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     elif mode := next(degenerate, 0):
         rule = "degenerate"
     else:  # B's plan, replayed on B's core and on A's transposed by each candidate (module docstring)
-        core_a, core_b = _core(A, factors_a).data, _core(B, factors_b).data
+        core_a, core_b = _cores(data, factors)
         plan = _plan(core_b, fb, tol / 4)
         cb = _replay(core_b, plan)[0]
         for sigma in itertools.islice(itertools.chain((sigma,), candidates), RELABEL_CAP):

@@ -47,6 +47,7 @@ from .tensor import (
     _inner,
     _int_arg,
     _json_int,
+    _norm,
 )
 
 __all__ = [
@@ -134,7 +135,8 @@ class QubitState:
         return int(self._amp.size).bit_length() - 1
 
     def norm(self) -> float:
-        return math.sqrt(_inner(self._amp, self._amp))
+        """sqrt(sum |amp|^2), exact at the ends of the float range."""
+        return _norm(self._amp)
 
     def __repr__(self):
         return f"QubitState(num_qubits={self.num_qubits})"

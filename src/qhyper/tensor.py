@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,35 +181,46 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
                 f"matrix for mode {k + 1} has {A.shape[1]} columns, mode length is {H.dims[k]}"
             )
     _check_mode_lengths([A.shape[0] for A in mats])
-    return _multiply(mats, H)
+    return Hypermatrix._wrap(_multiply([A[None] for A in mats], H.data[None])[0])
 
 
 @np.errstate(all="ignore")  # an overflow raises ValidationError below, not NumPy's warning
-def _multiply(mats, H):
-    """:func:`multilinear_multiply` on matrices checked against H (2-D arrays or one
-    (N, rows, cols) stack).  Only the product is checked: finite ones can overflow."""
-    # Blocks are built by broadcasting: block[(i, i'), (j, j')] = K[i, j] * A[i', j'].
+def _multiply(mats, data):
+    """:func:`multilinear_multiply` over a (b, *dims) stack of b hypermatrices, row i
+    by the matrices ``mats[k][i]``: ``mats`` holds one (b, rows_k, dims[k]) array
+    per mode (a list, or one (N, b, rows, cols) array).  Returns the (b, *rows)
+    stack of products.  The matrices are trusted; only the product is checked,
+    since finite ones can overflow.
+
+    Every step runs on the whole stack: each Kronecker block is built for all b
+    rows by one broadcast, and each pass is one stacked matmul, which NumPy
+    runs as one matrix product per row, so a row's bits do not depend on b.
+    """
+    # block[:, (i, i'), (j, j')] = K[:, i, j] * A[:, i', j'], all rows at once.
     blocks = [mats[0]]
     for A in mats[1:]:
         K = blocks[-1]
-        rows, cols = K.shape[0] * A.shape[0], K.shape[1] * A.shape[1]
+        rows, cols = K.shape[1] * A.shape[1], K.shape[2] * A.shape[2]
         if rows <= _BLOCK_SIDE and cols <= _BLOCK_SIDE:
-            blocks[-1] = (K[:, None, :, None] * A[None, :, None, :]).reshape(rows, cols)
+            blocks[-1] = (K[:, :, None, :, None] * A[:, None, :, None, :]).reshape(-1, rows, cols)
         else:
             blocks.append(A)
-    # Step k is B_k @ X with X a contiguous (n_k, rest) matrix, n_k the length of merged
-    # mode k.  New lengths pile up in front in reverse, so merged mode k+1 moves to the
-    # front in runs of n_{k+2}...n_last entries; the last reshape splits the merged modes.
-    out, done, rest = H.data, 1, H.data.size  # done = m_1 ... m_k
+    # Step k is B_k @ X with X a contiguous (n_k, rest) matrix per row, n_k the length
+    # of merged mode k.  New lengths pile up in front in reverse, so merged mode k+1
+    # moves to the front in runs of n_{k+2}...n_last entries; the last reshape splits
+    # the merged modes.
+    b = len(data)
+    out, done, rest = data, 1, data[0].size  # done = m_1 ... m_k
     for B in blocks:
-        n = B.shape[1]
+        n = B.shape[2]
         rest //= n
-        out = B @ out.reshape(done, n, rest).swapaxes(0, 1).reshape(n, -1)
-        done *= B.shape[0]
-    out = out.reshape([B.shape[0] for B in reversed(blocks)]).transpose()
+        out = B @ out.reshape(b, done, n, rest).swapaxes(1, 2).reshape(b, n, -1)
+        done *= B.shape[1]
+    out = out.reshape([b] + [B.shape[1] for B in reversed(blocks)])
+    out = out.transpose(0, *range(out.ndim - 1, 0, -1))
     if not np.isfinite(out).all():
         raise ValidationError("the product has non-finite entries")
-    return Hypermatrix._wrap(out.reshape([A.shape[0] for A in mats]))
+    return out.reshape([b] + [A.shape[1] for A in mats])
 
 
 @dataclass(frozen=True)
@@ -253,7 +265,25 @@ def mode_permute(H: Hypermatrix, perm) -> Hypermatrix:
 
 def frobenius_norm(H: Hypermatrix) -> float:
     """Frobenius norm, the square root of sum |H_i|^2."""
-    return math.sqrt(_inner(H.data, H.data))
+    return _norm(H.data)
+
+
+def _norm(u):
+    """``sqrt(sum |u_i|^2)`` for a contiguous complex128 array, exact at the ends
+    of the float range.  The sum is taken first; only when it overflows, or
+    underflows to zero or a subnormal, are the parts divided by a power of two
+    near their peak (exact) and the root multiplied back.  A norm past the
+    float range is inf."""
+    sq = _inner(u, u)
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    parts = u.view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    scaled = np.ldexp(parts, -e).view(np.complex128)
+    try:
+        return math.ldexp(math.sqrt(_inner(scaled, scaled)), e)
+    except OverflowError:
+        return math.inf
 
 
 def _inner(u, v):

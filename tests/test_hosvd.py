@@ -34,7 +34,7 @@ from qhyper import (
     random_su2,
     state_to_hypermatrix,
 )
-from qhyper.hosvd import DEGENERACY_GAP, HosvdResult, _alignment_candidates
+from qhyper.hosvd import DEGENERACY_GAP, HosvdResult, _alignment_candidates, _plan
 from test_lu_verdict_corpus import _amplitudes
 
 TOL = 1e-10
@@ -111,6 +111,17 @@ def test_spectra_past_the_float_range_are_rejected(entry_point):
 def test_spectra_just_inside_the_float_range_are_kept():
     big = np.finfo(float).max
     np.testing.assert_array_equal(lu_fingerprint(Hypermatrix(np.array([[big, 0.0], [0.0, 0.0]]))), [[big, 0.0]] * 2)
+
+
+def test_neighbour_floor_of_a_huge_core_reads_inf():
+    # top^2 and the squared spectra overflow near 1e300; the floor must read inf, so
+    # no neighbour pins a mode, and no NumPy overflow warning (an error here) is raised.
+    res = hosvd(Hypermatrix(np.array([[1e300, 1e299], [2e299, 0.0]])))
+    anchor, pin, walk = _plan(res.core.data, res.mode_svals, TOL / 4)
+    assert anchor == 0 and not pin.any() and walk
+    canon = canonicalize_core(res)
+    assert np.isfinite(canon.core.data).all()
+    np.testing.assert_allclose(canon.reconstruct().data, res.reconstruct().data, rtol=0, atol=1e285)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -908,13 +919,16 @@ def test_lu_verdict_stays_small():
 
 
 def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
+    # One sweep over the stack of both inputs, A's row first.
     calls = []
     real = HOSVD_MODULE._mode_sweep
-    monkeypatch.setattr(HOSVD_MODULE, "_mode_sweep", lambda H: calls.append(H) or real(H))
+    monkeypatch.setattr(HOSVD_MODULE, "_mode_sweep", lambda data: calls.append(data) or real(data))
     A, B = _relabelled_lu_copy("symmetric", 6, np.random.default_rng(707))
     assert lu_equivalence(A, B).tag is LuTag.EQUIVALENT_CORE_MATCH
-    assert len(calls) == 2
-    assert calls[0] is A and calls[1] is B
+    assert len(calls) == 1
+    (stack,) = calls
+    assert stack.shape == (2,) + A.dims
+    assert stack[0].tobytes() == A.data.tobytes() and stack[1].tobytes() == B.data.tobytes()
 
 
 def test_lu_equivalence_capped_search(monkeypatch):

@@ -1,5 +1,5 @@
-"""Property tests for canonicalize_core and for lu_equivalence on
-LU-transformed, relabelled copies.
+"""Property tests for canonicalize_core, for lu_equivalence on
+LU-transformed, relabelled copies, and for the stacked HOSVD kernels.
 
 Needs the optional ``hypothesis`` package (``pip install .[test]``); the
 module is skipped without it so the other test modules still run.
@@ -23,7 +23,7 @@ from qhyper import (  # noqa: E402
     random_su2,
     state_to_hypermatrix,
 )
-from qhyper.hosvd import DEFAULT_TOL, DEGENERACY_GAP  # noqa: E402
+from qhyper.hosvd import DEFAULT_TOL, DEGENERACY_GAP, _cores, _mode_sweep  # noqa: E402
 from test_hosvd import _relabelled_lu_copy, _test_state, min_relative_gap  # noqa: E402
 
 
@@ -76,3 +76,26 @@ def test_canonicalize_core_property(kind, n, seed):
     assert np.max(np.abs(once.reconstruct().data - H.data)) <= DEFAULT_TOL
     twice = canonicalize_core(once)
     assert np.max(np.abs(twice.core.data - once.core.data)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["generic", "symmetric", "w-like", "sparse", "product"])] * 2),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_sweep_and_cores_match_stacks_of_one(kinds, n, seed):
+    # lu_equivalence decomposes both inputs as one stack; each row must keep the bits
+    # that hosvd, which runs the same kernels on a stack of one, gives that input alone.
+    rng = np.random.default_rng(seed)
+    Us = [[random_su2(rng.integers(2**63)) for _ in range(n)] for _ in kinds]
+    states = [apply_local_unitaries(_test_state(kind, n, rng), U) for kind, U in zip(kinds, Us)]
+    data = np.stack([state_to_hypermatrix(psi).data for psi in states])
+    factors, spectra = _mode_sweep(data)
+    cores = _cores(data, factors)
+    assert factors.shape == (2, n, 2, 2) and spectra.shape == (2, n, 2) and cores.shape == data.shape
+    for i in range(2):
+        one = data[i : i + 1]
+        f1, s1 = _mode_sweep(one)
+        assert factors[i].tobytes() == f1[0].tobytes() and spectra[i].tobytes() == s1[0].tobytes()
+        assert cores[i].tobytes() == _cores(one, f1)[0].tobytes()

@@ -53,6 +53,16 @@ def test_state_length_validation():
         QubitState([1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("amp", [1e200, 1e-200])
+def test_state_norm_is_exact_at_the_ends_of_the_float_range(amp):
+    assert QubitState(np.full(4, amp), norm="skip").norm() == 2 * amp
+
+
+def test_state_norm_of_a_unit_state_keeps_its_bits():
+    amp = random_state(5, seed=3).amplitudes
+    assert QubitState(amp).norm() == math.sqrt(_inner(amp, amp))
+
+
 def test_state_norm_validation():
     with pytest.raises(ValidationError):
         QubitState([1.0, 1.0])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from qhyper import (
 )
 from qhyper.cli import run_bench
 from oracles import matrix_to_json, tensor_to_json
-from qhyper.tensor import _complex_from_json, _json_int, _write_json
+from qhyper.tensor import _complex_from_json, _inner, _json_int, _write_json
 
 TOL = 1e-12
 
@@ -303,6 +304,19 @@ def test_frobenius_norm_matches_inner_product():
     rng = np.random.default_rng(21)
     H = random_hyper(rng, (2, 2, 2))
     assert abs(frobenius_norm(H) ** 2 - np.vdot(H.data, H.data).real) <= 1e-10
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e-200, complex(0.0, -1e-200)])
+def test_frobenius_norm_is_exact_at_the_ends_of_the_float_range(entry):
+    # |entry|^2 overflows to inf, or underflows to 0, although the norm 2 * |entry| does not.
+    assert frobenius_norm(Hypermatrix(np.full((2, 2), entry))) == 2 * abs(entry)
+
+
+def test_frobenius_norm_of_an_in_range_input_keeps_its_bits():
+    H = random_hyper(np.random.default_rng(22), (2, 2, 2, 2))
+    assert frobenius_norm(H) == math.sqrt(_inner(H.data, H.data))
+    assert frobenius_norm(Hypermatrix(np.zeros((2, 2)))) == 0.0
+    assert frobenius_norm(Hypermatrix(np.full((2, 2), np.finfo(float).max))) == math.inf
 
 
 # ---------------------------------------------------------------------------
