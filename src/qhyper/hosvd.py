@@ -34,9 +34,15 @@ The equivalence test decomposes each input once, and both together: A and
 B go through the sweep as one (2, 2, ..., 2) stack, and their cores come
 from one stacked product.  Every public function runs the same kernels on
 a stack of one, and a row's bits do not depend on the stack it is in.  The
-HOSVD commutes with mode permutation, so the core of a relabelled copy of
-A is A's core transposed by the relabeling, and its spectra are A's
-indexed by it.
+stack, the sweep's |entry|^2 table and conjugated copy, the product's
+passes, and the canonical cores that the search compares all live in the
+calling thread's three scratch buffers (``tensor._scratch``), kept between
+calls so that a stream of tests reuses its memory.  The product's first
+pass is the last read of the stack, so the cores overwrite it.  Nothing a
+function returns is scratch: records, factors, spectra and verdicts are
+fresh.  The HOSVD commutes with mode permutation, so the core of a
+relabelled copy of A is A's core transposed by the relabeling, and its
+spectra are A's indexed by it.
 Canonicalization is two steps: a plan picks the anchor and the entries
 that pin each mode's phase, from entry magnitudes and mode spectra only,
 and a replay makes those entries real positive.  Both inputs are
@@ -67,7 +73,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .tensor import Hypermatrix, _inner, _int_arg, _multiply, frobenius_norm, multilinear_multiply
+from .tensor import Hypermatrix, _fresh, _inner, _int_arg, _multiply, _scratch, frobenius_norm, multilinear_multiply
 
 __all__ = [
     "DEFAULT_TOL",
@@ -150,6 +156,14 @@ def mode_svals(H: Hypermatrix, k: int) -> np.ndarray:
     return mode_factor(H, k)[1]
 
 
+def _work(dims):
+    """Where the kernels of a (b, *dims) stack keep their working arrays: this thread's
+    scratch (``tensor._scratch``) when every mode has length 2, so that the order cap
+    bounds what a thread keeps, and new arrays otherwise (``mode_factor`` of one
+    length-2 mode of a larger hypermatrix)."""
+    return _scratch if dims.count(2) == len(dims) else _fresh
+
+
 def _mode_sweep(data, modes=None):
     """Factors and singular values of the zero-based ``modes`` (default: all) of
     each row of a (b, *dims) stack, as read-only (b, len(modes), 2, 2) and
@@ -160,7 +174,9 @@ def _mode_sweep(data, modes=None):
     in every row and its column sums the next table.  G_01 is one einsum per
     mode over the stack, mode k's halves against one conjugated copy.  No sum
     goes through BLAS.  The closed forms, and the rank-one fallback below, run
-    over all b * len(modes) modes at once.
+    over all b * len(modes) modes at once.  The table, each entry's squared
+    parts and the conjugated copy go to the ``x`` and ``y`` buffers of
+    :func:`_work`; the factors and spectra are new arrays.
 
     When the stack's largest part is outside 2^-450..2^450, so that the table
     would overflow or lose entries to underflow, the entries are first divided
@@ -175,12 +191,16 @@ def _mode_sweep(data, modes=None):
     for k in modes:
         if dims[k] != 2:
             raise ValidationError(f"mode {k + 1} has length {dims[k]}; this decomposition needs length 2")
-    e = 0
-    peak = np.abs(data.view(np.float64)).max()
+    e, work = 0, _work(dims)
+    parts = data.view(np.float64)  # [..., ::2] and [..., 1::2]: real and imaginary parts
+    sq = np.abs(parts, out=work("x", parts.shape, np.float64))
+    peak = sq.max()
     if peak and not 2.0**-450 <= peak <= 2.0**450:
         e = math.frexp(peak)[1]
-        data = np.ldexp(data.view(np.float64), -e).view(np.complex128)
-    fold = np.square(data.real) + np.square(data.imag)
+        parts = np.ldexp(parts, -e)
+        data = parts.view(np.complex128)
+    np.square(parts, out=sq)
+    fold = np.add(sq[..., ::2], sq[..., 1::2], out=work("y", data.shape, np.float64))
     slot = {k: i for i, k in enumerate(modes)}
     diag = np.empty((count, len(modes), 2))  # [row, i]: G_00 and G_11 of mode modes[i]
     for k, n in enumerate(dims[: max(modes) + 1]):
@@ -192,7 +212,7 @@ def _mode_sweep(data, modes=None):
     # The rows of the k-mode unfolding are the i_k = 0 and i_k = 1 halves of
     # these views, in another column order, which G does not depend on.
     halves = [data.reshape(count, math.prod(dims[:k]), 2, -1) for k in modes]
-    conj = data.conj()
+    conj = np.conjugate(data, out=work("y", data.shape, np.complex128))
     c = np.empty((count, len(modes)), dtype=np.complex128)
     for i, X in enumerate(halves):
         c[:, i] = np.einsum("bij,bij->b", X[:, :, 0], conj.reshape(X.shape)[:, :, 1])
@@ -227,10 +247,12 @@ def _mode_sweep(data, modes=None):
     return factors, spectra
 
 
-def _cores(data, factors):
+def _cores(data, factors, out=None):
     """The (b, *dims) stack of cores (V_1^H, ..., V_N^H) * H, one per row of a stack
-    and of its sweep's (b, N, 2, 2) factors, by one stacked product."""
-    return _multiply(factors.conj().transpose(1, 0, 3, 2), data)
+    and of its sweep's (b, N, 2, 2) factors, by one stacked product whose passes
+    run in this thread's scratch; the cores go to ``out`` (which may be ``data``)
+    when given, else to a new array."""
+    return _multiply(factors.conj().transpose(1, 0, 3, 2), data, out, _scratch)
 
 
 def hosvd(H: Hypermatrix) -> HosvdResult:
@@ -362,9 +384,10 @@ def _plan(core, spectra, negligible):
     return anchor, pin, walk
 
 
-def _replay(core, plan):
+def _replay(core, plan, out=None):
     """Make each entry that a :func:`_plan` pins real positive, in its order: the canonical
-    core array and the (N, 2) phase table."""
+    core array, in ``out`` when given (a C-contiguous array of the core's shape, which
+    may be ``core`` itself) and else in a new array, and the (N, 2) phase table."""
     anchor, pin, walk = plan
     n = core.ndim
     flat = core.reshape(-1)
@@ -384,7 +407,7 @@ def _replay(core, plan):
     table = np.ones(1, dtype=np.complex128)
     for pk in phases[::-1]:
         table = (pk[:, None] * table).ravel()
-    return (flat * table).reshape(core.shape), phases
+    return np.multiply(flat, table, out=None if out is None else out.reshape(-1)).reshape(core.shape), phases
 
 
 class LuTag(Enum):
@@ -474,7 +497,8 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     for name, T in (("first", A), ("second", B)):
         if abs(frobenius_norm(T) - 1.0) > tol:
             raise ValidationError(f"{name} input is not normalized (norm {frobenius_norm(T)!r})")
-    data = np.stack((A.data, B.data))
+    data = _work(A.dims)("stack", (2,) + A.dims, np.complex128)  # other dims fail the sweep
+    data[0], data[1] = A.data, B.data
     factors, (fa, fb) = _mode_sweep(data)
     # match[k, j]: mode k of B has the spectrum of mode j of A.
     match = np.abs(fb[:, None] - fa[None]).max(axis=2) <= tol
@@ -486,12 +510,14 @@ def lu_equivalence(A: Hypermatrix, B: Hypermatrix, tol: float = DEFAULT_TOL) -> 
     elif mode := next(degenerate, 0):
         rule = "degenerate"
     else:  # B's plan, replayed on B's core and on A's transposed by each candidate (module docstring)
-        core_a, core_b = _cores(data, factors)
+        core_a, core_b = _cores(data, factors, out=data)  # the stack is dead after the first pass
         plan = _plan(core_b, fb, tol / 4)
-        cb = _replay(core_b, plan)[0]
+        cb = _replay(core_b, plan, core_b)[0]
+        ca, diff = _scratch("x", A.dims, np.complex128), _scratch("y", A.dims, np.float64)
         for sigma in itertools.islice(itertools.chain((sigma,), candidates), RELABEL_CAP):
-            ca = _replay(core_a.transpose(np.subtract(sigma, 1)), plan)[0]
-            gap = float(np.max(np.abs(ca - cb)))
+            np.copyto(ca, core_a.transpose(np.subtract(sigma, 1)))
+            _replay(ca, plan, ca)
+            gap = float(np.max(np.abs(np.subtract(ca, cb, out=ca), out=diff)))
             if gap <= tol:
                 rule = "core-match"
                 break

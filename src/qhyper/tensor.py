@@ -16,9 +16,11 @@ qubit 1 the most significant bit of the basis label.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,17 +186,48 @@ def multilinear_multiply(matrices, H: Hypermatrix) -> Hypermatrix:
     return Hypermatrix._wrap(_multiply([A[None] for A in mats], H.data[None])[0])
 
 
+_local = threading.local()
+
+
+def _scratch(slot, shape, dtype):
+    """A C-contiguous ``shape`` array of ``dtype`` over this thread's byte buffer
+    ``slot`` (``"stack"``, ``"x"`` or ``"y"``), which grows to fit and never shrinks.
+
+    Its entries are whatever the thread last left there, and the thread's next
+    use of the slot overwrites them, so no scratch array leaves the library.
+    Only the qubit kernels use it, so a thread keeps at most three buffers of
+    at most 2 MiB, a stack of two 16-qubit hypermatrices each, until it exits.
+    """
+    try:
+        return np.ndarray(shape, dtype, getattr(_local, slot, b""))
+    except TypeError:  # the buffer is too small, or the thread has none yet
+        setattr(_local, slot, buf := np.empty(math.prod(shape) * np.dtype(dtype).itemsize, np.uint8))
+        return np.ndarray(shape, dtype, buf)
+
+
+def _fresh(slot, shape, dtype):
+    """:func:`_scratch`'s stand-in where nothing may be kept: a new array."""
+    return np.empty(shape, dtype)
+
+
 @np.errstate(all="ignore")  # an overflow raises ValidationError below, not NumPy's warning
-def _multiply(mats, data):
+def _multiply(mats, data, out=None, work=_fresh):
     """:func:`multilinear_multiply` over a (b, *dims) stack of b hypermatrices, row i
     by the matrices ``mats[k][i]``: ``mats`` holds one (b, rows_k, dims[k]) array
     per mode (a list, or one (N, b, rows, cols) array).  Returns the (b, *rows)
-    stack of products.  The matrices are trusted; only the product is checked,
-    since finite ones can overflow.
+    stack of products, written into ``out`` when given (a C-contiguous array of
+    that shape, which may be ``data`` itself) and else into a new array.  The
+    matrices are trusted; only the product is checked, since finite ones can
+    overflow.
 
     Every step runs on the whole stack: each Kronecker block is built for all b
     rows by one broadcast, and each pass is one stacked matmul, which NumPy
     runs as one matrix product per row, so a row's bits do not depend on b.
+    A pass reads its input as a view where the swap allows one and copies it
+    only where a reshape would, and writes into the other of two buffers, so
+    every matmul sees the operand layout it would see on fresh arrays.  ``work``
+    gives those buffers: :func:`_fresh` allocates each pass's own, and
+    :func:`_scratch` hands out this thread's ``x`` and ``y``.
     """
     # block[:, (i, i'), (j, j')] = K[:, i, j] * A[:, i', j'], all rows at once.
     blocks = [mats[0]]
@@ -207,20 +240,27 @@ def _multiply(mats, data):
             blocks.append(A)
     # Step k is B_k @ X with X a contiguous (n_k, rest) matrix per row, n_k the length
     # of merged mode k.  New lengths pile up in front in reverse, so merged mode k+1
-    # moves to the front in runs of n_{k+2}...n_last entries; the last reshape splits
+    # moves to the front in runs of n_{k+2}...n_last entries; the last copy splits
     # the merged modes.
     b = len(data)
-    out, done, rest = data, 1, data[0].size  # done = m_1 ... m_k
+    src, done, rest = data, 1, data[0].size  # done = m_1 ... m_k
+    slots = itertools.cycle("xy")  # each buffer is written while the other is read
     for B in blocks:
         n = B.shape[2]
         rest //= n
-        out = B @ out.reshape(b, done, n, rest).swapaxes(1, 2).reshape(b, n, -1)
+        X = src.reshape(b, done, n, rest).swapaxes(1, 2)
+        if min(done, n, rest) > 1:  # no view merges the last two axes
+            copy = work(next(slots), X.shape, np.complex128)
+            np.copyto(copy, X)
+            X = copy
+        src = np.matmul(B, X.reshape(b, n, -1), out=work(next(slots), (b, B.shape[1], done * rest), np.complex128))
         done *= B.shape[1]
-    out = out.reshape([b] + [B.shape[1] for B in reversed(blocks)])
-    out = out.transpose(0, *range(out.ndim - 1, 0, -1))
-    if not np.isfinite(out).all():
+    if not np.isfinite(src).all():
         raise ValidationError("the product has non-finite entries")
-    return out.reshape([b] + [A.shape[1] for A in mats])
+    src = src.reshape([b] + [B.shape[1] for B in reversed(blocks)])
+    out = np.empty([b] + [A.shape[1] for A in mats], np.complex128) if out is None else out
+    np.copyto(out.reshape([b] + [B.shape[1] for B in blocks]), src.transpose(0, *range(src.ndim - 1, 0, -1)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -919,10 +919,11 @@ def test_lu_verdict_stays_small():
 
 
 def test_lu_equivalence_decomposes_each_input_once(monkeypatch):
-    # One sweep over the stack of both inputs, A's row first.
+    # One sweep over the stack of both inputs, A's row first.  The stack is copied
+    # when the sweep is called: its scratch buffer holds the cores by the time it returns.
     calls = []
     real = HOSVD_MODULE._mode_sweep
-    monkeypatch.setattr(HOSVD_MODULE, "_mode_sweep", lambda data: calls.append(data) or real(data))
+    monkeypatch.setattr(HOSVD_MODULE, "_mode_sweep", lambda data: calls.append(data.copy()) or real(data))
     A, B = _relabelled_lu_copy("symmetric", 6, np.random.default_rng(707))
     assert lu_equivalence(A, B).tag is LuTag.EQUIVALENT_CORE_MATCH
     assert len(calls) == 1
